@@ -1,0 +1,5 @@
+"""End-to-end benchmark of the GReaTER stack, with a traced per-layer split.
+
+Run it as ``python3 perfbench/run.py --workload NAME --seed N --seconds S
+--trace 0|1`` from the repository root; see ``perfbench/README.md``.
+"""

@@ -1,10 +1,12 @@
 """Before/after timings for the batched generation engine.
 
-Runs the synthesis hot paths twice — once with the legacy object-walk engine,
-once with the compiled CSR engine — asserts that both produce **identical
-tables for identical seeds** (the engines share one RNG protocol and compute
-bit-identical mass matrices, so the outputs must match exactly, not just
-statistically), and records the timings to ``BENCH_generation.json``.
+Runs the synthesis hot paths twice — once with the legacy object-walk
+backbone (the oracle, swapped into the fitted synthesizers' engines), once
+with the compiled CSR backbone every runtime path uses — asserts that both
+produce **identical tables for identical seeds** (the backbones share one
+RNG protocol and compute bit-identical mass matrices, so the outputs must
+match exactly, not just statistically), and records the timings to
+``BENCH_generation.json``.
 
 Usage::
 
@@ -32,6 +34,8 @@ from repro.llm.finetune import FineTuneConfig
 from repro.llm.ngram_model import ModelConfig
 from repro.llm.sampler import SamplerConfig
 from repro.relational.parent_child import ParentChildConfig, ParentChildSynthesizer
+
+from benchmarks.perf.oracle import ENGINES, use_backbone
 
 #: The benchmark counted toward the >=10x acceptance bar.
 TARGET_PATH = "guided_sample"
@@ -76,11 +80,11 @@ def _parent_child_tables(n_subjects: int, seed: int) -> tuple[Table, Table]:
                                       columns=["user_id", "genre", "clicks"])
 
 
-def _backbone(engine: str, strategy: str, seed: int) -> GReaTConfig:
+def _backbone(strategy: str, seed: int) -> GReaTConfig:
     model = ModelConfig(order=6, smoothing=0.005,
                         interpolation=(0.42, 0.24, 0.14, 0.1, 0.06, 0.04))
     fine_tune = FineTuneConfig(epochs=3, batches=3, seed=seed, model=model)
-    sampler = SamplerConfig(temperature=0.85, top_k=12, seed=seed, engine=engine)
+    sampler = SamplerConfig(temperature=0.85, top_k=12, seed=seed)
     return GReaTConfig(fine_tune=fine_tune, sampler=sampler,
                        sampling_strategy=strategy, seed=seed)
 
@@ -88,23 +92,24 @@ def _backbone(engine: str, strategy: str, seed: int) -> GReaTConfig:
 # -- benchmark bodies: each returns (timed_callable, result_to_compare) -------------
 
 def bench_guided_sample(engine: str, rows: int, seed: int):
-    synth = GReaTSynthesizer(_backbone(engine, "guided", seed))
-    synth.fit(_training_table(400, seed))
+    synth = GReaTSynthesizer(_backbone("guided", seed))
+    use_backbone(synth.fit(_training_table(400, seed)), engine)
     return lambda: synth.sample(rows, seed=seed + 1).to_records()
 
 
 def bench_free_sample(engine: str, rows: int, seed: int):
-    synth = GReaTSynthesizer(_backbone(engine, "free", seed))
-    synth.fit(_training_table(400, seed))
+    synth = GReaTSynthesizer(_backbone("free", seed))
+    use_backbone(synth.fit(_training_table(400, seed)), engine)
     n = max(rows // 10, 1)  # free generation retries internally; keep runtime sane
     return lambda: synth.sample(n, seed=seed + 1).to_records()
 
 
 def bench_parent_child_sample(engine: str, rows: int, seed: int):
     parent, child = _parent_child_tables(200, seed)
-    config = ParentChildConfig(parent=_backbone(engine, "guided", seed),
-                               child=_backbone(engine, "guided", seed), seed=seed)
+    config = ParentChildConfig(parent=_backbone("guided", seed),
+                               child=_backbone("guided", seed), seed=seed)
     synth = ParentChildSynthesizer(config).fit(parent, child, "user_id")
+    use_backbone(synth, engine)
     n_parents = max(rows // 20, 1)  # ~2 children per parent on average
     def body():
         parent_table, child_table, flat = synth.sample_all(n_parents, seed=seed + 1)
@@ -120,12 +125,12 @@ BENCHMARKS = [
 
 
 def run(rows: int, seed: int = 7, repeats: int = 1) -> dict:
-    """Run every benchmark on both engines and return the report dict."""
+    """Run every benchmark on both backbones and return the report dict."""
     results: dict[str, dict] = {}
-    outputs: dict[str, dict] = {"object": {}, "compiled": {}}
-    timings: dict[str, dict] = {"object": {}, "compiled": {}}
+    outputs: dict[str, dict] = {engine: {} for engine in ENGINES}
+    timings: dict[str, dict] = {engine: {} for engine in ENGINES}
 
-    for engine in ("object", "compiled"):
+    for engine in ENGINES:
         for name, build in BENCHMARKS:
             body = build(engine, rows, seed)
             best = float("inf")
@@ -160,7 +165,7 @@ def run(rows: int, seed: int = 7, repeats: int = 1) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark the object vs compiled generation engines."
+        description="Benchmark the object oracle vs the compiled generation backbone."
     )
     parser.add_argument("--rows", type=int, default=50_000,
                         help="rows generated by the guided-sampling path (default 50000)")
@@ -179,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     width = max(len(name) for name, _ in BENCHMARKS)
-    print(f"rows={rows}  (object vs compiled generation engine)")
+    print(f"rows={rows}  (object oracle vs compiled generation backbone)")
     for name, _ in BENCHMARKS:
         entry = report["benchmarks"][name]
         flag = "*" if name == TARGET_PATH else " "
@@ -190,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     print("wrote {}".format(args.out))
 
     if not report["all_identical"]:
-        print("ERROR: engines disagree on at least one generated table")
+        print("ERROR: backbones disagree on at least one generated table")
         return 1
     if not args.smoke and not report["meets_10x_target"]:
         print("ERROR: the guided sampling path did not reach the 10x target")

@@ -6,13 +6,15 @@ bundle files:
 * **fit as cache hit** — ``Registry.fit_or_load`` on a spec the registry
   has already seen must come back as a verified load instead of a retrain,
   with the cached pipeline's samples **bit-identical** (columnar
-  fingerprints compared) to the fresh fit's on both engines.  The speedup
-  gate is engine-aware: the ``object`` engine — the reference
-  implementation whose retrain is the expensive case a cache exists for —
-  must hit at least ``--cache-hit-margin`` times faster (default 10x); the
-  ``compiled`` engine trains in fractions of a second at benchmark sizes,
-  so its win is gated at the smaller ``--compiled-margin`` (default 2x)
-  and reported alongside;
+  fingerprints compared) to the fresh fit's.  It runs once per engine:
+  ``object`` fits through the object-trainer fallback and samples the fresh
+  fit through the object oracle backbone, ``compiled`` is the runtime path.
+  The speedup gate is engine-aware: the ``object`` trainer — the reference
+  implementation, and the slow fallback whose retrain is the expensive
+  case a cache exists for — must hit at least ``--cache-hit-margin`` times
+  faster (default 10x); the ``compiled`` trainer trains in fractions of a
+  second at benchmark sizes, so its win is gated at the smaller
+  ``--compiled-margin`` (default 2x) and reported alongside;
 * **shared-part dedup** — saving the fitted 5-table retail multitable
   pipeline must store at least one part once for several referencing part
   names (the edge synthesizers share config/vocabulary parts), i.e.
@@ -52,7 +54,7 @@ from repro.pipelines.greater import GReaTERPipeline
 from repro.pipelines.multitable import MultiTablePipelineConfig, MultiTableSchemaPipeline
 from repro.registry import Registry, downgrade_bundle_to_v0, fingerprint_table, migrate_bundle
 
-ENGINES = ("object", "compiled")
+from benchmarks.perf.oracle import ENGINES, trainer, use_backbone
 
 
 def _trial(n_users: int, seed: int):
@@ -66,14 +68,12 @@ def _trial(n_users: int, seed: int):
     return dataset.trials()[0]
 
 
-def _pipeline_config(seed: int, engine: str) -> PipelineConfig:
+def _pipeline_config(seed: int) -> PipelineConfig:
     return PipelineConfig(
         seed=seed,
         drop_columns=("task_id",),
         enhancer=EnhancerConfig(semantic_level="understandability", seed=seed),
         connector=ConnectorConfig(remove_noisy_columns=False),
-        generation_engine=engine,
-        training_engine=engine,
     )
 
 
@@ -91,10 +91,11 @@ def run(n_users: int, n_customers: int, seed: int = 7,
     engines: dict[str, dict] = {}
     for engine in ENGINES:
         registry = Registry(workdir / "reg_{}".format(engine))
-        pipeline = GReaTERPipeline(_pipeline_config(seed, engine))
+        pipeline = GReaTERPipeline(_pipeline_config(seed))
 
         start = time.perf_counter()
-        miss = registry.fit_or_load(pipeline, trial.ads, trial.feeds)
+        with trainer(engine):
+            miss = registry.fit_or_load(pipeline, trial.ads, trial.feeds)
         miss_s = time.perf_counter() - start
         assert not miss.cache_hit
 
@@ -106,6 +107,7 @@ def run(n_users: int, n_customers: int, seed: int = 7,
             hit_s = min(hit_s, time.perf_counter() - start)
         assert hit is not None and hit.cache_hit
 
+        use_backbone(miss.fitted, engine)
         fresh = miss.fitted.sample(n_users, seed=seed + 1).synthetic_flat
         cached = hit.fitted.sample(n_users, seed=seed + 1).synthetic_flat
         engines[engine] = {
@@ -136,9 +138,7 @@ def run(n_users: int, n_customers: int, seed: int = 7,
     # artifact must touch nothing.
     retail = generate_retail_like(RetailConfig(n_customers=n_customers, seed=seed))
     registry = Registry(workdir / "reg_retail")
-    fitted = MultiTableSchemaPipeline(MultiTablePipelineConfig(
-        seed=seed, generation_engine="compiled",
-        training_engine="compiled")).fit(retail)
+    fitted = MultiTableSchemaPipeline(MultiTablePipelineConfig(seed=seed)).fit(retail)
     first = registry.save(fitted)
     second = registry.save(fitted)
     report["dedup"] = {
@@ -163,7 +163,7 @@ def run(n_users: int, n_customers: int, seed: int = 7,
     from repro.store.bundle import load_bundle
 
     native = workdir / "native_v1"
-    pipeline = GReaTERPipeline(_pipeline_config(seed, "compiled"))
+    pipeline = GReaTERPipeline(_pipeline_config(seed))
     fitted_single = pipeline.fit(trial.ads, trial.feeds)
     fitted_single.save(native)
     reference = fitted_single.sample(n_users, seed=seed + 2).synthetic_flat

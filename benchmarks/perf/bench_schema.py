@@ -6,8 +6,10 @@ customers with a secondary store key, plus a standalone stores table):
 
 * **inference** — primary/foreign keys discovered from the raw tables,
   with a hard assertion that the known ground-truth graph is recovered;
-* **fit / sample throughput** — whole-database fitting and sampling on
-  both the ``object`` and ``compiled`` engines, reporting rows/s;
+* **fit / sample throughput** — whole-database fitting and sampling per
+  engine, reporting rows/s: ``object`` fits through the object-trainer
+  fallback and samples through the object oracle backbone, ``compiled`` is
+  the runtime path;
 * **persistence identity** — fit -> save -> load -> ``sample_database``
   asserted byte-identical (CSV bytes, per table) to the pre-save sample,
   per engine, and the two engines asserted identical to each other;
@@ -46,6 +48,8 @@ from repro.pipelines.multitable import (
 )
 from repro.schema import infer_schema
 from repro.serving import ServingConfig, SynthesisService
+
+from benchmarks.perf.oracle import ENGINES, trainer, use_backbone
 
 SHARD_COUNTS = (1, 2, 4)
 
@@ -106,12 +110,13 @@ def run(n_customers: int, seed: int = 7) -> dict:
     # -- fit / save / load / sample, per engine ---------------------------------------
     engines: dict[str, dict] = {}
     engine_bytes: dict[str, dict[str, bytes]] = {}
-    for engine in ("object", "compiled"):
-        config = MultiTablePipelineConfig(seed=seed, generation_engine=engine,
-                                          training_engine=engine)
+    for engine in ENGINES:
+        config = MultiTablePipelineConfig(seed=seed)
         start = time.perf_counter()
-        fitted = MultiTableSchemaPipeline(config).fit(tables, graph)
+        with trainer(engine):
+            fitted = MultiTableSchemaPipeline(config).fit(tables, graph)
         fit_s = time.perf_counter() - start
+        use_backbone(fitted, engine)
 
         start = time.perf_counter()
         warm = fitted.sample_database(seed=seed + 1)

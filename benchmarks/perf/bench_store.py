@@ -7,8 +7,9 @@ Measures the three things the train-once / serve-many split buys:
 * **cold start vs retrain** — ``load + sample`` in a fresh synthesizer
   state against ``fit + sample`` from scratch, with a hard assertion that
   the loaded pipeline produces the **byte-identical** synthetic flat table
-  (CSV bytes compared) for the same seed, on both the ``object`` and
-  ``compiled`` engines;
+  (CSV bytes compared) for the same seed, per engine: ``object`` fits
+  through the object-trainer fallback and samples the fitted pipeline
+  through the object oracle backbone, ``compiled`` is the runtime path;
 * **serving throughput** — block-sharded ``sample_table`` requests through
   :class:`repro.serving.SynthesisService` at 1/2/4 shards, asserting every
   shard count yields the identical table;
@@ -20,13 +21,14 @@ Measures the three things the train-once / serve-many split buys:
   *asserted* (>= ``--scaling-margin``) when the machine actually has >= 4
   CPU cores — on smaller boxes it is recorded but cannot be meaningful;
 * **out-of-core streaming** — a table >= 10x the chunk budget streamed
-  through :class:`repro.store.stream.CsvTableSink` on both engines: the
+  through :class:`repro.store.stream.CsvTableSink` per engine (``object``
+  swaps the oracle backbone into the loaded pipeline): the
   streamed CSV must be sha256-identical to the in-memory materialization
   of the same blocks, and the tracemalloc allocation peak of the chunked
   walk must stay O(chunk), not O(table) — asserted by streaming 4x the
   rows and requiring the peak to grow by at most ``--stream-growth-bound``
   (in-memory peaks grow with the table; streamed peaks must not).
-  Process peak RSS is recorded alongside.  The compiled engine's per-block
+  Process peak RSS is recorded alongside.  The engine's per-block
   lane cap is asserted too: one small block sampled through
   ``sample_block`` (batch width capped at the block's subject count) must
   peak at no more than ``--lane-cap-bound`` times the uncapped path;
@@ -85,6 +87,8 @@ from repro.serving import ServingConfig, SynthesisService, process_peak_rss_byte
 from repro.store.bundle import load_fitted_pipeline
 from repro.store.stream import CsvTableSink
 
+from benchmarks.perf.oracle import ENGINES, trainer, use_backbone
+
 SHARD_COUNTS = (1, 2, 4)
 WORKER_COUNTS = (1, 2, 4)
 
@@ -100,14 +104,12 @@ def _trial(n_users: int, seed: int):
     return dataset.trials()[0]
 
 
-def _pipeline_config(seed: int, engine: str) -> PipelineConfig:
+def _pipeline_config(seed: int) -> PipelineConfig:
     return PipelineConfig(
         seed=seed,
         drop_columns=("task_id",),
         enhancer=EnhancerConfig(semantic_level="understandability", seed=seed),
         connector=ConnectorConfig(remove_noisy_columns=False),
-        generation_engine=engine,
-        training_engine=engine,
     )
 
 
@@ -148,12 +150,14 @@ def run(n_users: int, n_sample: int, requests: int, seed: int = 7,
     # retraining from scratch.  The sampled output is then asserted to be
     # byte-identical (CSV bytes) between the retrained and the loaded state.
     engines: dict[str, dict] = {}
-    for engine in ("object", "compiled"):
-        config = _pipeline_config(seed, engine)
+    for engine in ENGINES:
+        config = _pipeline_config(seed)
         start = time.perf_counter()
-        fitted = GReaTERPipeline(config).fit(trial.ads, trial.feeds)
+        with trainer(engine):
+            fitted = GReaTERPipeline(config).fit(trial.ads, trial.feeds)
         fit_s = time.perf_counter() - start
-        warm_result = fitted.sample(n_subjects=n_sample, seed=seed + 1)
+        warm_result = use_backbone(fitted, engine).sample(
+            n_subjects=n_sample, seed=seed + 1)
 
         bundle_path = workdir / "bundle_{}".format(engine)
         start = time.perf_counter()
@@ -313,8 +317,9 @@ def run(n_users: int, n_sample: int, requests: int, seed: int = 7,
         tracemalloc.stop()
         return peak, elapsed, rows, chunks
 
-    for engine in ("object", "compiled"):
+    for engine in ENGINES:
         fitted, _ = load_fitted_pipeline(workdir / "bundle_{}".format(engine))
+        use_backbone(fitted, engine)
 
         whole_path = workdir / "whole_{}.csv".format(engine)
         tracemalloc.start()

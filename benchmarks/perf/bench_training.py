@@ -1,10 +1,11 @@
 """Before/after timings for the compiled training engine.
 
 Runs the training hot path — corpus encode, n-gram count accumulation,
-per-epoch validation scoring, CSR compile — twice: once with the legacy
-object engine (per-sentence tokenisation + dict updates + object scoring),
-once with the compiled engine (one-pass batch encode + array reduction +
-batched CSR scoring).  Asserts that both produce **bit-identical results**
+per-epoch validation scoring, CSR compile — twice: once through the legacy
+object trainer (per-sentence tokenisation + dict updates + object scoring;
+at runtime only an unpackable vocabulary selects it, here the bench forces
+that fallback), once through the compiled trainer (one-pass batch encode +
+array reduction + batched CSR scoring).  Asserts that both produce **bit-identical results**
 (vocabulary ids, perplexity traces, frozen count arrays, and — for the
 end-to-end path — identical synthetic tables for identical seeds), and
 records the timings to ``BENCH_training.json``.
@@ -37,6 +38,8 @@ from repro.llm.sampler import SamplerConfig
 from repro.llm.tokenizer import WordTokenizer
 from repro.textenc.corpus import CorpusBuilder
 from repro.textenc.encoder import EncoderConfig, TextualEncoder
+
+from benchmarks.perf.oracle import ENGINES, trainer
 
 #: The benchmark counted toward the >=10x acceptance bar.
 TARGET_PATH = "fit_trace"
@@ -93,11 +96,12 @@ def bench_fit_trace(engine: str, rows: int, seed: int):
     """Fine-tune + per-epoch perplexity trace + CSR compile on the full corpus."""
     corpus = _corpus(rows, seed)
     config = FineTuneConfig(epochs=3, batches=3, validation_fraction=0.1,
-                            seed=seed, model=_model_config(), engine=engine)
+                            seed=seed, model=_model_config())
 
     def body():
         tuner = FineTuner(WordTokenizer(), config)
-        result = tuner.fine_tune(corpus)
+        with trainer(engine):
+            result = tuner.fine_tune(corpus)
         compiled = result.model.compiled_model()
         return {
             "vocabulary": dict(tuner.tokenizer.vocabulary.token_to_id),
@@ -146,13 +150,14 @@ def bench_fit_sample(engine: str, rows: int, seed: int):
     table = _training_table(max(rows // 10, 50), seed)
     config = GReaTConfig(
         fine_tune=FineTuneConfig(epochs=3, batches=3, seed=seed,
-                                 model=_model_config(), engine=engine),
+                                 model=_model_config()),
         sampler=SamplerConfig(temperature=0.85, top_k=12, seed=seed),
         seed=seed,
     )
 
     def body():
-        synth = GReaTSynthesizer(config).fit(table)
+        with trainer(engine):
+            synth = GReaTSynthesizer(config).fit(table)
         return synth.sample(max(rows // 50, 20), seed=seed + 1).to_records()
 
     return body
@@ -166,12 +171,12 @@ BENCHMARKS = [
 
 
 def run(rows: int, seed: int = 7, repeats: int = 1) -> dict:
-    """Run every benchmark on both engines and return the report dict."""
+    """Run every benchmark on both trainers and return the report dict."""
     results: dict[str, dict] = {}
-    outputs: dict[str, dict] = {"object": {}, "compiled": {}}
-    timings: dict[str, dict] = {"object": {}, "compiled": {}}
+    outputs: dict[str, dict] = {engine: {} for engine in ENGINES}
+    timings: dict[str, dict] = {engine: {} for engine in ENGINES}
 
-    for engine in ("object", "compiled"):
+    for engine in ENGINES:
         for name, build in BENCHMARKS:
             body = build(engine, rows, seed)
             best = float("inf")
@@ -185,9 +190,10 @@ def run(rows: int, seed: int = 7, repeats: int = 1) -> dict:
         object_out = outputs["object"][name]
         compiled_out = outputs["compiled"][name]
         if name == "fit_trace":
-            # the engine label legitimately differs; everything else must not
-            identical = all(object_out[key] == compiled_out[key]
-                            for key in ("vocabulary", "trace", "counts"))
+            # the engine label differs by construction; everything else must not
+            identical = ((object_out["engine"], compiled_out["engine"]) == ENGINES
+                         and all(object_out[key] == compiled_out[key]
+                                 for key in ("vocabulary", "trace", "counts")))
         elif name == "encode":
             identical = (object_out[0] == compiled_out[0]
                          and np.array_equal(np.asarray(object_out[1], dtype=np.int64),
@@ -218,7 +224,7 @@ def run(rows: int, seed: int = 7, repeats: int = 1) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark the object vs compiled training engines."
+        description="Benchmark the object fallback vs the compiled training engine."
     )
     parser.add_argument("--rows", type=int, default=50_000,
                         help="training-table rows for the fit benchmarks (default 50000)")
@@ -237,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     width = max(len(name) for name, _ in BENCHMARKS)
-    print(f"rows={rows}  (object vs compiled training engine)")
+    print(f"rows={rows}  (object fallback vs compiled training engine)")
     for name, _ in BENCHMARKS:
         entry = report["benchmarks"][name]
         flag = "*" if name == TARGET_PATH else " "

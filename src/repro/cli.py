@@ -38,7 +38,7 @@ The artifact-registry workflow (see :mod:`repro.registry`) adds:
 
 * ``greater fit/run --registry DIR`` — save through the content-addressed
   registry; a repeated fit with an identical spec (pipeline config, seed,
-  resolved engines, dataset fingerprint) becomes a verified cache hit.
+  dataset fingerprint) becomes a verified cache hit.
   ``--json`` output carries the full ``artifact_digest`` and registry
   path, so scripts chain straight into ``serve``;
 * ``greater serve --registry DIR --digest HEX`` — serve an artifact by

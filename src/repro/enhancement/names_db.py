@@ -86,11 +86,6 @@ class UniqueNameGenerator:
         self._cursor = 0
         self._suffix = 1
 
-    @property
-    def issued(self) -> set[str]:
-        """Names handed out so far."""
-        return set(self._issued)
-
     def next_name(self) -> str:
         """Return the next unused, unreserved name."""
         while self._cursor < len(self._order):

@@ -15,8 +15,7 @@ Python overhead.  This module introduces a small storage-backend layer:
   list of categories in first-seen order.
 
 Which storage a new :class:`~repro.frame.column.Column` gets is controlled by
-the process-wide default backend (``"auto"``, ``"numpy"`` or ``"object"``,
-also settable through the ``REPRO_FRAME_BACKEND`` environment variable).
+the process-wide default backend (``"auto"``, ``"numpy"`` or ``"object"``).
 Under ``"auto"``/``"numpy"`` typed columns use the vectorized backends and
 only ``mixed``/``empty`` columns fall back to object lists; ``"object"``
 forces the legacy storage everywhere (used by the perf harness as the
@@ -30,7 +29,6 @@ and are normalised to ``None`` when values are surfaced back to Python.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from contextlib import contextmanager
 
@@ -48,10 +46,7 @@ MISSING_VALUES = (None, math.nan)
 #: Storage policies accepted by :func:`set_default_backend`.
 BACKEND_KINDS = ("auto", "numpy", "object")
 
-_ENV_VAR = "REPRO_FRAME_BACKEND"
-_default_backend = os.environ.get(_ENV_VAR, "auto")
-if _default_backend not in BACKEND_KINDS:
-    _default_backend = "auto"
+_default_backend = "auto"
 
 
 def is_missing(value) -> bool:

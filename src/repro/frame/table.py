@@ -88,11 +88,6 @@ class Table:
         data = {name: [record.get(name) for record in records] for name in names}
         return cls(data)
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Column]) -> "Table":
-        """Build a table from :class:`Column` objects."""
-        return cls(columns)
-
     def copy(self) -> "Table":
         """Return a deep-enough copy (new column objects, new storage)."""
         return Table([

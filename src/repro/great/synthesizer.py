@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -93,7 +92,6 @@ class GReaTSynthesizer:
         self._engine: BatchGenerationEngine | None = None
         self._training_table: Table | None = None
         self._perplexity_trace: list[float] = []
-        self._training_engine: str | None = None
         # guided-sampling state: per column, the observed values and their token ids
         self._column_candidates: dict[str, list] = {}
         self._candidate_token_ids: dict[str, list[list[int]]] = {}
@@ -113,16 +111,6 @@ class GReaTSynthesizer:
         return list(self._perplexity_trace)
 
     @property
-    def training_engine(self) -> str | None:
-        """Which training engine ran at fit time (``None`` before fit).
-
-        Selected by ``config.fine_tune.engine`` / ``REPRO_TRAINING_ENGINE``;
-        both engines produce bit-identical models, so this is diagnostic
-        only.
-        """
-        return self._training_engine
-
-    @property
     def decoder(self) -> TextualDecoder:
         self._require_fitted()
         return self._decoder
@@ -138,11 +126,6 @@ class GReaTSynthesizer:
         """The batch-generation engine built at fit time."""
         self._require_fitted()
         return self._engine
-
-    @property
-    def training_columns(self) -> list[str]:
-        self._require_fitted()
-        return self._training_table.column_names
 
     def fit(self, table: Table) -> "GReaTSynthesizer":
         """Fine-tune the backbone on the textual-encoded rows of *table*."""
@@ -160,7 +143,6 @@ class GReaTSynthesizer:
         with obs.span("stage.fine_tune", attrs={"sentences": len(corpus)}):
             result = tuner.fine_tune(corpus)
         self._perplexity_trace = result.perplexity_trace
-        self._training_engine = result.engine
         self._decoder = decoder
         self._model = result.model
         self._sampler = TemperatureSampler(result.model, self.config.sampler)
@@ -174,8 +156,7 @@ class GReaTSynthesizer:
     @classmethod
     def _from_fitted_state(cls, config: GReaTConfig, training_table: Table,
                            model: NGramLanguageModel, decoder: TextualDecoder,
-                           perplexity_trace: Sequence[float],
-                           training_engine: str | None) -> "GReaTSynthesizer":
+                           perplexity_trace: Sequence[float]) -> "GReaTSynthesizer":
         """Reconstruct a fitted synthesizer from persisted state.
 
         Used by :mod:`repro.store` to revive a bundle without retraining:
@@ -189,7 +170,6 @@ class GReaTSynthesizer:
         synth._decoder = decoder
         synth._model = model
         synth._perplexity_trace = list(perplexity_trace)
-        synth._training_engine = training_engine
         synth._sampler = TemperatureSampler(model, config.sampler)
         synth._sampler.reseed(config.seed)
         synth._engine = synth._sampler.engine
@@ -222,65 +202,6 @@ class GReaTSynthesizer:
     def _require_fitted(self):
         if not self.is_fitted:
             raise RuntimeError("call fit() before sampling")
-
-    # -- guided sampling ---------------------------------------------------------------
-
-    def _sample_column_value(self, name: str, context_ids: list[int], rng: random.Random):
-        """Score every observed value of *name* given the context and sample one."""
-        candidates = self._column_candidates[name]
-        token_lists = self._candidate_token_ids[name]
-        if len(candidates) == 1:
-            return candidates[0], token_lists[0]
-        log_scores = [
-            self._model.score_token_sequence(context_ids, tokens) for tokens in token_lists
-        ]
-        temperature = max(self.config.sampler.temperature, 1e-6)
-        max_score = max(log_scores)
-        weights = [math.exp((score - max_score) / temperature) for score in log_scores]
-        total = sum(weights)
-        threshold = rng.random() * total
-        cumulative = 0.0
-        for index, weight in enumerate(weights):
-            cumulative += weight
-            if cumulative >= threshold:
-                return candidates[index], token_lists[index]
-        return candidates[-1], token_lists[-1]
-
-    def _sample_row_guided(self, prompt_row: dict | None, rng: random.Random) -> dict:
-        vocab = self._model.tokenizer.vocabulary
-        context: list[int] = [vocab.bos_id]
-        row: dict = {}
-        encode = lambda text: [  # noqa: E731 - tiny local helper
-            vocab.encode_token(tok) for tok in self._model.tokenizer.tokenize(text)
-        ]
-        for name in self._training_table.column_names:
-            context.extend(self._structure_token_ids[name])
-            if prompt_row is not None and name in prompt_row:
-                value = prompt_row[name]
-                value_tokens = encode(self._encoder.encode_value(value))
-            else:
-                value, value_tokens = self._sample_column_value(name, context, rng)
-            row[name] = value
-            context.extend(value_tokens)
-            context.extend(self._separator_ids)
-        return row
-
-    # -- free sampling -------------------------------------------------------------------
-
-    def _sample_row_free(self, prompt_row: dict | None, rng: random.Random) -> dict:
-        prompt = None
-        if prompt_row:
-            prompt = self._encoder.conditional_prompt(prompt_row)
-        sentence = self._sampler.sample_valid(self._decoder.is_valid, prompt=prompt)
-        if sentence is not None:
-            return self._decoder.decode_row(sentence)
-        if not self.config.fallback_to_training_rows:
-            raise RuntimeError("generation failed to produce a valid row within the retry budget")
-        fallback = self._training_table.row(rng.randrange(self._training_table.num_rows))
-        if prompt_row:
-            fallback = dict(fallback)
-            fallback.update(prompt_row)
-        return fallback
 
     # -- batched sampling ---------------------------------------------------------------
 
@@ -389,18 +310,6 @@ class GReaTSynthesizer:
         return self._sample_rows_free_batch(prompts, seed, max_lanes=max_lanes)
 
     # -- public sampling API ----------------------------------------------------------------
-
-    def sample_row(self, prompt_row: dict | None = None, rng: random.Random | None = None) -> dict:
-        """Sample one schema-valid row, optionally conditioned on a partial row.
-
-        The legacy per-row path, kept for incremental use; bulk sampling goes
-        through the batched engine in :meth:`sample` / :meth:`sample_conditional`.
-        """
-        self._require_fitted()
-        rng = rng or random.Random(self.config.seed)
-        if self.config.sampling_strategy == "guided":
-            return self._sample_row_guided(prompt_row, rng)
-        return self._sample_row_free(prompt_row, rng)
 
     def sample(self, n: int, seed: int | None = None,
                max_lanes: int | None = None) -> Table:

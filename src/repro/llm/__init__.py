@@ -18,14 +18,8 @@ from repro.llm.tokenizer import WordTokenizer, Vocabulary, SPECIAL_TOKENS, Encod
 from repro.llm.ngram_model import NGramLanguageModel, ModelConfig
 from repro.llm.sampler import SamplerConfig, TemperatureSampler
 from repro.llm.compiled import CompiledNGramModel
-from repro.llm.engine import BatchGenerationEngine, GENERATION_ENGINES, resolve_engine_kind
-from repro.llm.training import (
-    ArrayTrainedNGramModel,
-    CorpusCounts,
-    TRAINING_ENGINES,
-    accumulate_counts,
-    resolve_training_engine,
-)
+from repro.llm.engine import BatchGenerationEngine
+from repro.llm.training import ArrayTrainedNGramModel, CorpusCounts, accumulate_counts
 from repro.llm.finetune import FineTuneConfig, FineTuner
 from repro.llm.embeddings import CooccurrenceEmbedding
 
@@ -40,13 +34,9 @@ __all__ = [
     "SamplerConfig",
     "CompiledNGramModel",
     "BatchGenerationEngine",
-    "GENERATION_ENGINES",
-    "resolve_engine_kind",
     "ArrayTrainedNGramModel",
     "CorpusCounts",
-    "TRAINING_ENGINES",
     "accumulate_counts",
-    "resolve_training_engine",
     "FineTuner",
     "FineTuneConfig",
     "CooccurrenceEmbedding",

@@ -30,6 +30,15 @@ from repro.llm.ngram_model import NGramLanguageModel, interpolation_weights
 _MAX_PACKED_KEY = 2 ** 62
 
 
+def ngrams_packable(vocab_size: int, order: int) -> bool:
+    """Whether every *order*-token n-gram packs into one int64 key.
+
+    The array trainer and the bundle loader need this; when it fails they
+    take the dict path (the object trainer, the dict-table rebuild).
+    """
+    return vocab_size >= 1 and max(vocab_size, 2) ** order < _MAX_PACKED_KEY
+
+
 class CompiledNGramModel:
     """CSR-style frozen counts of a trained :class:`NGramLanguageModel`.
 

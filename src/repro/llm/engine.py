@@ -7,25 +7,20 @@ sequences per step*: one vectorized categorical draw (temperature + top-k via
 retirement, and vectorized validity-based retry that regenerates only the
 rejected lanes.
 
-Two interchangeable backbones compute the per-step mass matrices:
+The per-step mass matrices come from the model's compiled CSR backbone
+(:class:`~repro.llm.compiled.CompiledNGramModel`), fully vectorized across
+lanes.  Vocabularies too large to pack into int64 keys go through the
+compiled model's tuple-index path, so every trained model runs here.
 
-* ``"object"`` — the legacy data structures: per-lane walks over the model's
-  nested ``dict[context] -> Counter`` tables
-  (:meth:`~repro.llm.ngram_model.NGramLanguageModel.distribution_components`).
-* ``"compiled"`` — :class:`~repro.llm.compiled.CompiledNGramModel`'s frozen
-  CSR arrays, fully vectorized across lanes.
-
-Both backbones produce bit-identical mass matrices (same expression shapes,
-same accumulation order), and everything downstream of the masses — RNG
-stream, temperature/top-k selection, EOS retirement, retry scheduling — is
-shared code.  Identical seeds therefore produce identical sequences on either
-backbone, which the perf harness (``benchmarks.perf.bench_generation``)
-asserts end to end.
-
-The backbone is picked per :class:`~repro.llm.sampler.SamplerConfig` (its
-``engine`` field), falling back to the ``REPRO_GENERATION_ENGINE``
-environment variable and finally to ``"compiled"`` — mirroring the frame
-substrate's storage-backend selection.
+:class:`ObjectBackbone` recomputes the same masses by walking the model's
+nested ``dict[context] -> Counter`` tables
+(:meth:`~repro.llm.ngram_model.NGramLanguageModel.distribution_components`).
+It is the reference the tests and ``benchmarks.perf.bench_generation``
+compare against: both backbones produce bit-identical mass matrices (same
+expression shapes, same accumulation order), and everything downstream of
+the masses — RNG stream, temperature/top-k selection, EOS retirement, retry
+scheduling — is shared code, so swapping :attr:`BatchGenerationEngine.backbone`
+leaves every sampled sequence unchanged.
 """
 
 from __future__ import annotations
@@ -34,14 +29,8 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from repro.llm.backends import resolve_backend_kind
 from repro.llm.ngram_model import NGramLanguageModel
 from repro.llm.sampler import SamplerConfig
-
-#: Concrete generation engines (``"auto"`` resolves to one of these).
-GENERATION_ENGINES = ("object", "compiled")
-
-_ENV_VAR = "REPRO_GENERATION_ENGINE"
 
 #: Probability floor applied before taking logs, matching the legacy
 #: ``token_probability`` clamp.
@@ -74,16 +63,8 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(sequence.generate_state(1, dtype=np.uint64)[0]) & SEED_MASK
 
 
-def resolve_engine_kind(kind: str | None = None) -> str:
-    """Resolve ``None``/``"auto"`` through the environment to a concrete engine."""
-    return resolve_backend_kind(kind, _ENV_VAR, GENERATION_ENGINES,
-                                default="compiled", label="generation engine")
-
-
 class ObjectBackbone:
-    """Per-lane mass computation on the legacy dict-of-Counter tables."""
-
-    kind = "object"
+    """Per-lane mass computation on the legacy dict-of-Counter tables (the oracle)."""
 
     def __init__(self, model: NGramLanguageModel):
         self.model = model
@@ -133,21 +114,19 @@ class BatchGenerationEngine:
     The engine owns the RNG protocol (a :class:`numpy.random.Generator`, one
     uniform vector per batch step), so a given seed maps to one deterministic
     generation trace regardless of which backbone computes the masses.
+    ``backbone`` defaults to the model's compiled CSR freeze; passing (or
+    assigning) an :class:`ObjectBackbone` runs the reference computation.
     """
 
     def __init__(self, model: NGramLanguageModel, config: SamplerConfig | None = None,
-                 kind: str | None = None):
+                 backbone=None):
         if not model.is_trained:
             raise ValueError("the model must be fit() before building an engine")
         self.model = model
         self.config = config or SamplerConfig()
-        self.kind = resolve_engine_kind(kind if kind is not None else self.config.engine)
-        if self.kind == "compiled":
-            # array-trained models hand back their cached CSR freeze, so no
-            # dict walk (or re-freeze) happens here
-            self._backbone = model.compiled_model()
-        else:
-            self._backbone = ObjectBackbone(model)
+        # array-trained models hand back their cached CSR freeze, so no dict
+        # walk (or re-freeze) happens here
+        self.backbone = model.compiled_model() if backbone is None else backbone
         self.tokenizer = model.tokenizer
         vocabulary = model.tokenizer.vocabulary
         self._pad_id = vocabulary.pad_id
@@ -228,7 +207,7 @@ class BatchGenerationEngine:
         for _ in range(config.max_tokens):
             if active.size == 0:
                 break
-            masses = self._backbone.dense_masses(contexts[active], lengths[active])
+            masses = self.backbone.dense_masses(contexts[active], lengths[active])
             masses[:, self._pad_id] = 0.0
             masses[:, self._bos_id] = 0.0
             tokens = _draw_tokens(masses, rng, config.temperature, config.top_k)
@@ -304,7 +283,7 @@ class BatchGenerationEngine:
         matrix; longer candidates extend a simulated context and gather the
         single target-token mass per additional position.
         """
-        dense = self._backbone.dense_masses(contexts, lengths)
+        dense = self.backbone.dense_masses(contexts, lengths)
         first = np.fromiter((tokens[0] for tokens in token_lists), dtype=np.int64,
                             count=len(token_lists))
         scores = np.log(np.maximum(dense[:, first], _LOG_FLOOR))
@@ -330,7 +309,7 @@ class BatchGenerationEngine:
                 np.full(n_lanes, int(token_lists[c][position]), dtype=np.int64)
                 for c in live
             ])
-            masses = self._backbone.token_masses(stacked_contexts, stacked_lengths,
+            masses = self.backbone.token_masses(stacked_contexts, stacked_lengths,
                                                  stacked_tokens)
             log_masses = np.log(np.maximum(masses, _LOG_FLOOR))
             for slot, c in enumerate(live):
@@ -432,7 +411,7 @@ class GuidedBatchSession:
         return _choose_indices(scores, self._rng, temperature)
 
 
-# -- shared vectorized selection (identical for both backbones) -------------------------
+# -- shared vectorized selection (independent of the backbone) -------------------------
 
 def _draw_tokens(masses: np.ndarray, rng: np.random.Generator,
                  temperature: float, top_k: int | None) -> np.ndarray:

@@ -6,20 +6,16 @@ count accumulation and a batch is a shard of the corpus; the loop exposes the
 same knobs plus a per-epoch held-out perplexity trace so experiments can show
 the model actually adapts to the encoded corpus.
 
-Two interchangeable engines run the loop (see :mod:`repro.llm.training`):
-
-* ``"object"`` — the legacy path: per-sentence tokenisation and token-by-token
-  updates of the nested ``dict[context] -> Counter`` tables, one pass per
-  epoch, per-epoch validation scoring through the object model.
-* ``"compiled"`` — one batched corpus encode into a flat id array, one
-  array-reduction count accumulation, analytic epoch scaling, and per-epoch
-  validation scoring through the compiled CSR scorer.
-
-Both engines produce bit-identical counts, vocabulary ids and perplexity
-traces, so a given seed maps to one deterministic fine-tuning outcome
-regardless of the engine.  The engine is picked per :class:`FineTuneConfig`
-(its ``engine`` field), falling back to the ``REPRO_TRAINING_ENGINE``
-environment variable and finally to ``"compiled"``.
+The loop runs on arrays: one batched corpus encode into a flat id array, one
+array-reduction count accumulation (:mod:`repro.llm.training`), analytic
+epoch scaling, and per-epoch validation scoring through the compiled CSR
+scorer.  When the vocabulary is too large for packed int64 n-gram keys
+(:func:`~repro.llm.training.accumulate_counts` returns ``None``), the loop
+falls back to the legacy object trainer: per-sentence tokenisation and
+token-by-token updates of the nested ``dict[context] -> Counter`` tables.
+Both trainers produce bit-identical counts, vocabulary ids and perplexity
+traces, so a given seed maps to one deterministic fine-tuning outcome;
+:attr:`FineTuneResult.engine` records which one ran.
 """
 
 from __future__ import annotations
@@ -35,24 +31,12 @@ from repro.llm.ngram_model import (
     perplexity_from_probabilities,
 )
 from repro.llm.tokenizer import WordTokenizer
-from repro.llm.training import (
-    ArrayTrainedNGramModel,
-    accumulate_counts,
-    resolve_training_engine,
-)
-
-#: Accepted values of :attr:`FineTuneConfig.engine`.
-ENGINE_CHOICES = ("auto", "object", "compiled")
+from repro.llm.training import ArrayTrainedNGramModel, accumulate_counts
 
 
 @dataclass(frozen=True)
 class FineTuneConfig:
-    """Hyper-parameters of the fine-tuning loop (paper defaults in Sec. 4.1.4).
-
-    ``engine`` picks the training engine (``"object"`` keeps the legacy dict
-    updates, ``"compiled"`` runs the array path; ``"auto"`` resolves through
-    the ``REPRO_TRAINING_ENGINE`` environment variable to ``"compiled"``).
-    """
+    """Hyper-parameters of the fine-tuning loop (paper defaults in Sec. 4.1.4)."""
 
     epochs: int = 10
     batches: int = 5
@@ -60,7 +44,6 @@ class FineTuneConfig:
     shuffle: bool = True
     seed: int = 0
     model: ModelConfig = field(default_factory=ModelConfig)
-    engine: str = "auto"
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -69,15 +52,15 @@ class FineTuneConfig:
             raise ValueError("batches must be at least 1")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in [0, 1)")
-        if self.engine not in ENGINE_CHOICES:
-            raise ValueError(
-                "engine must be one of {}, got {!r}".format(ENGINE_CHOICES, self.engine)
-            )
 
 
 @dataclass
 class FineTuneResult:
-    """Outcome of a fine-tuning run."""
+    """Outcome of a fine-tuning run.
+
+    ``engine`` is ``"compiled"`` for the array trainer and ``"object"`` when
+    the vocabulary forced the dict-path fallback.
+    """
 
     model: NGramLanguageModel
     perplexity_trace: list[float]
@@ -109,15 +92,14 @@ class FineTuner:
         validation = shuffled[:n_validation]
         training = shuffled[n_validation:] or shuffled
 
-        if resolve_training_engine(self.config.engine) == "compiled":
-            result = self._fine_tune_compiled(shuffled, training, validation)
-            if result is not None:
-                return result
-            # vocabulary too large for packed int64 keys: run the dict path
-            # (the vocabulary fitted above is reused — fit() is idempotent)
+        result = self._fine_tune_compiled(shuffled, training, validation)
+        if result is not None:
+            return result
+        # vocabulary too large for packed int64 keys: run the dict path (the
+        # vocabulary fitted above is reused — fit() is idempotent)
         return self._fine_tune_object(shuffled, training, validation)
 
-    # -- object engine: the legacy dict path --------------------------------------------
+    # -- object fallback: the legacy dict path ------------------------------------------
 
     def _fine_tune_object(self, shuffled: list[str], training: list[str],
                           validation: list[str]) -> FineTuneResult:
@@ -142,7 +124,7 @@ class FineTuner:
             engine="object",
         )
 
-    # -- compiled engine: the array path -------------------------------------------------
+    # -- compiled trainer: the array path ------------------------------------------------
 
     def _fine_tune_compiled(self, shuffled: list[str], training: list[str],
                             validation: list[str]) -> FineTuneResult | None:
@@ -154,7 +136,7 @@ class FineTuner:
         per-epoch validation perplexities are computed by the compiled CSR
         scorer on count views scaled to each epoch.  Returns ``None`` when
         the vocabulary cannot be packed (caller falls back to the object
-        engine).
+        trainer).
         """
         config = self.config
         encoded = self.tokenizer.fit_encode_corpus(shuffled)

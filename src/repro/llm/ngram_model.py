@@ -254,15 +254,6 @@ class NGramLanguageModel:
             total_mass += total * scale
         return mass / total_mass if total_mass > 0 else 1.0 / vocab_size
 
-    def sequence_log_probability(self, text: str) -> float:
-        """Log probability of a sentence under the model (natural log)."""
-        token_ids = self.tokenizer.encode(text)
-        log_prob = 0.0
-        for position in range(1, len(token_ids)):
-            p = self._position_probability(token_ids, position)
-            log_prob += math.log(max(p, PROBABILITY_FLOOR))
-        return log_prob
-
     def perplexity(self, corpus: Iterable[str]) -> float:
         """Per-token perplexity of a corpus under the model.
 

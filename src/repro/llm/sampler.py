@@ -7,9 +7,7 @@ generation hyper-parameters.
 
 Batch APIs (:meth:`TemperatureSampler.sample_batch`,
 :meth:`TemperatureSampler.sample_valid`) delegate to the
-:class:`~repro.llm.engine.BatchGenerationEngine`, whose backbone is selected
-by :attr:`SamplerConfig.engine` (``"auto"`` resolves through the
-``REPRO_GENERATION_ENGINE`` environment variable to ``"compiled"``).
+:class:`~repro.llm.engine.BatchGenerationEngine`.
 """
 
 from __future__ import annotations
@@ -20,21 +18,14 @@ from dataclasses import dataclass
 
 from repro.llm.ngram_model import NGramLanguageModel
 
-#: Accepted values of :attr:`SamplerConfig.engine`; the concrete engines are
-#: defined in :mod:`repro.llm.engine`.
-ENGINE_CHOICES = ("auto", "object", "compiled")
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     """Generation hyper-parameters.
 
     ``max_retries`` bounds how many candidate sentences are drawn per accepted
     sample when a validity predicate is supplied (GReaT similarly discards
-    rows it cannot parse back into the table schema).  ``engine`` picks the
-    batch-generation backbone (``"object"`` keeps the legacy dict walks,
-    ``"compiled"`` uses the frozen CSR arrays); ``batch_lanes`` caps how many
-    sequences are advanced in flight per vectorized step.
+    rows it cannot parse back into the table schema); ``batch_lanes`` caps
+    how many sequences are advanced in flight per vectorized step.
     """
 
     temperature: float = 1.0
@@ -42,7 +33,6 @@ class SamplerConfig:
     max_tokens: int = 160
     max_retries: int = 8
     seed: int = 0
-    engine: str = "auto"
     batch_lanes: int = 512
 
     def __post_init__(self):
@@ -52,10 +42,6 @@ class SamplerConfig:
             raise ValueError("max_tokens must be positive")
         if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1")
-        if self.engine not in ENGINE_CHOICES:
-            raise ValueError(
-                "engine must be one of {}, got {!r}".format(ENGINE_CHOICES, self.engine)
-            )
         if self.batch_lanes < 1:
             raise ValueError("batch_lanes must be at least 1")
 
@@ -90,16 +76,6 @@ class TemperatureSampler:
         if not prompt:
             return None
         return self.model.tokenizer.encode(prompt, add_bos=False, add_eos=False)
-
-    def sample_sentence(self, prompt: str | None = None) -> str:
-        """Draw a single sentence (legacy per-sequence path)."""
-        return self.model.generate(
-            self._rng,
-            max_tokens=self.config.max_tokens,
-            temperature=self.config.temperature,
-            top_k=self.config.top_k,
-            prompt=prompt,
-        )
 
     def sample_valid(self, is_valid: Callable[[str], bool], prompt: str | None = None) -> str | None:
         """Draw sentences until one passes *is_valid* (or retries are exhausted).

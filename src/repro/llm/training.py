@@ -18,12 +18,11 @@ constructed from the arrays without ever materialising the dict tables.
 :class:`~repro.llm.ngram_model.NGramLanguageModel` API: any legacy caller
 that reaches for the dict tables triggers a one-off, exact materialisation.
 
-The engine is selected per :class:`~repro.llm.finetune.FineTuneConfig` (its
-``engine`` field), falling back to the ``REPRO_TRAINING_ENGINE`` environment
-variable and finally to ``"compiled"`` — mirroring the frame-backend and
-generation-engine switches.  Both engines produce bit-identical counts,
-vocabulary ids and perplexity traces, hence identical synthetic tables for
-identical seeds.
+:class:`~repro.llm.finetune.FineTuner` runs this path and falls back to the
+legacy object trainer only when the vocabulary is too large to pack
+(:func:`accumulate_counts` returns ``None``).  Both produce bit-identical
+counts, vocabulary ids and perplexity traces, hence identical synthetic
+tables for identical seeds.
 """
 
 from __future__ import annotations
@@ -33,22 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.llm.backends import resolve_backend_kind
-from repro.llm.compiled import CompiledNGramModel, _MAX_PACKED_KEY
+from repro.llm.compiled import CompiledNGramModel, ngrams_packable
 from repro.llm.ngram_model import ModelConfig, NGramLanguageModel
 from repro.llm.tokenizer import EncodedCorpus, WordTokenizer
-
-#: Concrete training engines (``"auto"`` resolves to one of these).
-TRAINING_ENGINES = ("object", "compiled")
-
-_ENV_VAR = "REPRO_TRAINING_ENGINE"
-
-
-def resolve_training_engine(kind: str | None = None) -> str:
-    """Resolve ``None``/``"auto"`` through the environment to a concrete engine."""
-    return resolve_backend_kind(kind, _ENV_VAR, TRAINING_ENGINES,
-                                default="compiled", label="training engine")
-
 
 @dataclass(frozen=True)
 class CorpusCounts:
@@ -106,7 +92,7 @@ def accumulate_counts(encoded: EncodedCorpus, order: int,
     pack ``order`` tokens into an int64 (callers fall back to the dict
     path — correctness over speed, as with the compiled sampler).
     """
-    if vocab_size < 1 or max(vocab_size, 2) ** order >= _MAX_PACKED_KEY:
+    if not ngrams_packable(vocab_size, order):
         return None
     ids = np.asarray(encoded.ids, dtype=np.int64)
     offsets = np.asarray(encoded.offsets, dtype=np.int64)

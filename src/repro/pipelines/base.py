@@ -87,7 +87,7 @@ class FittedPipeline:
     The whole object is persistable through :meth:`save` /
     :meth:`load` (see :mod:`repro.store.bundle`): a pipeline fitted in one
     process, saved and loaded in a fresh process produces byte-identical
-    synthetic tables for identical seeds on both engines.
+    synthetic tables for identical seeds.
     """
 
     name: str

@@ -14,23 +14,19 @@ from repro.llm.sampler import SamplerConfig
 from repro.relational.parent_child import ParentChildConfig
 
 
-def default_backbone_config(seed: int = 0, engine: str = "auto",
-                            training_engine: str = "auto") -> GReaTConfig:
+def default_backbone_config(seed: int = 0) -> GReaTConfig:
     """The LM-backbone configuration the pipelines use by default.
 
     Order-6 n-grams keep the previous column's value inside the context window
     of the next column's value, so cross-column dependencies (and the damage
     ambiguous labels do to them) are actually expressed; 10 epochs / 5 batches
     mirror the paper's REaLTabFormer hyper-parameters (Sec. 4.1.4).
-    ``engine`` selects the batch-generation backbone (see
-    :mod:`repro.llm.engine`); ``training_engine`` the fine-tuning engine
-    (see :mod:`repro.llm.training`).
     """
     model = ModelConfig(order=6, smoothing=0.005,
                         interpolation=(0.42, 0.24, 0.14, 0.1, 0.06, 0.04))
     fine_tune = FineTuneConfig(epochs=10, batches=5, validation_fraction=0.1, seed=seed,
-                               model=model, engine=training_engine)
-    sampler = SamplerConfig(temperature=0.85, top_k=12, seed=seed, engine=engine)
+                               model=model)
+    sampler = SamplerConfig(temperature=0.85, top_k=12, seed=seed)
     return GReaTConfig(fine_tune=fine_tune, sampler=sampler, seed=seed)
 
 
@@ -56,17 +52,6 @@ class PipelineConfig:
         trial-splitting ``task_id`` is dropped by the harness this way).
     contextual_consistency:
         Threshold ``m`` for contextual-variable detection (Appendix A.2).
-    generation_engine:
-        Batch-generation backbone used by every synthesizer the pipeline
-        fits: ``"compiled"`` (frozen CSR arrays), ``"object"`` (legacy dict
-        walks) or ``"auto"`` (the ``REPRO_GENERATION_ENGINE`` environment
-        variable, defaulting to ``"compiled"``).
-    training_engine:
-        Fine-tuning engine used by every synthesizer the pipeline fits:
-        ``"compiled"`` (batched corpus encode + array count accumulation),
-        ``"object"`` (legacy per-token dict updates) or ``"auto"`` (the
-        ``REPRO_TRAINING_ENGINE`` environment variable, defaulting to
-        ``"compiled"``).  Both engines train bit-identical models.
     """
 
     subject_column: str = "user_id"
@@ -75,14 +60,11 @@ class PipelineConfig:
     connector: ConnectorConfig = field(default_factory=ConnectorConfig)
     drop_columns: tuple[str, ...] = ()
     contextual_consistency: float = 0.95
-    generation_engine: str = "auto"
-    training_engine: str = "auto"
     seed: int = 0
 
     def backbone(self) -> GReaTConfig:
         """LM backbone configuration derived from the pipeline seed."""
-        return default_backbone_config(self.seed, engine=self.generation_engine,
-                                       training_engine=self.training_engine)
+        return default_backbone_config(self.seed)
 
     def parent_child(self) -> ParentChildConfig:
         """Parent/child synthesizer configuration derived from the backbone."""

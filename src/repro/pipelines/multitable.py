@@ -35,15 +35,11 @@ class MultiTablePipelineConfig:
     n_root_rows: int | None = None
     children_per_parent: int | str = "match"
     inference: InferenceConfig = field(default_factory=InferenceConfig)
-    generation_engine: str = "auto"
-    training_engine: str = "auto"
     seed: int = 0
 
     def multitable(self) -> MultiTableConfig:
         """The synthesizer configuration derived from this pipeline config."""
-        backbone = default_backbone_config(self.seed, engine=self.generation_engine,
-                                           training_engine=self.training_engine)
-        return MultiTableConfig(backbone=backbone,
+        return MultiTableConfig(backbone=default_backbone_config(self.seed),
                                 children_per_parent=self.children_per_parent,
                                 inference=self.inference, seed=self.seed)
 
@@ -55,7 +51,7 @@ class FittedMultiTablePipeline:
     Persistable through :meth:`save` / :meth:`load` (see
     :mod:`repro.store.bundle`): a pipeline fitted in one process, saved and
     loaded in a fresh process produces byte-identical synthetic databases
-    for identical seeds on both engines.
+    for identical seeds.
     """
 
     name: str

@@ -10,11 +10,10 @@ that many training runs and serving fleets share:
   synthesizers share config/vocabulary parts, which are stored once);
 * :mod:`repro.registry.record` — :class:`Registry`: artifact records
   binding a bundle manifest to its CAS parts, provenance *run records*
-  binding a normalized spec (pipeline config, seed, resolved engines,
-  dataset fingerprint) to the artifact digest, ``fit_or_load`` turning a
-  repeated fit into a verified cache hit, incremental re-save (only parts
-  whose digests changed are written) and refcount-aware garbage
-  collection;
+  binding a normalized spec (pipeline config, seed, dataset fingerprint)
+  to the artifact digest, ``fit_or_load`` turning a repeated fit into a
+  verified cache hit, incremental re-save (only parts whose digests
+  changed are written) and refcount-aware garbage collection;
 * :mod:`repro.registry.fingerprint` — deterministic dataset fingerprints
   over the columnar backend (:func:`fingerprint_table`) and over raw CSV
   directories (:func:`fingerprint_directory`);

@@ -8,13 +8,12 @@ The registry directory has three planes:
   bundle manifest (kind, format version, meta) to the part objects by
   their content addresses;
 * ``runs/<spec-digest>.json`` — provenance records binding a normalized
-  fit *spec* (pipeline name, full config, seed, resolved engines, dataset
-  fingerprint) to the artifact it produced.
+  fit *spec* (pipeline name, full config, seed, dataset fingerprint) to the artifact it produced.
 
 :meth:`Registry.fit_or_load` closes the loop: the spec of a requested fit
 is hashed, a matching run record turns the fit into a verified load — the
 cache hit is bit-identical to a fresh fit because the bundle encoding and
-both training engines are deterministic — and a miss fits, saves and
+training are deterministic — and a miss fits, saves and
 records.  :meth:`Registry.save` is incremental by construction: only
 parts whose digests are not yet stored are written.
 """
@@ -34,7 +33,6 @@ from repro.store.bundle import (
     BUNDLE_FORMAT_VERSION,
     BasePartReader,
     BundleIntegrityError,
-    _engine_meta,
     bundle_writer_for,
     read_bundle_object,
     verify_parts,
@@ -150,31 +148,12 @@ def _fingerprint_fit_arg(arg):
         "cannot fingerprint fit argument of type {!r}".format(type(arg).__name__))
 
 
-def _spec_engines(config) -> dict:
-    """The resolved engines the fit would actually use (part of the spec).
-
-    Resolution happens at spec time so an environment override
-    (``REPRO_TRAINING_ENGINE`` / ``REPRO_GENERATION_ENGINE``) changes the
-    spec digest and forces a cache miss instead of silently serving an
-    artifact trained by a different engine.
-    """
-    if hasattr(config, "training_engine"):
-        return _engine_meta(config.training_engine, config.generation_engine)
-    if hasattr(config, "fine_tune") and hasattr(config, "sampler"):
-        return _engine_meta(config.fine_tune.engine, config.sampler.engine)
-    backbone = getattr(config, "backbone", None)
-    if backbone is not None:
-        return _engine_meta(backbone.fine_tune.engine, backbone.sampler.engine)
-    return _engine_meta("auto", "auto")
-
-
 def fit_spec(pipeline, *fit_args) -> dict:
     """The normalized provenance spec of ``pipeline.fit(*fit_args)``."""
     config = pipeline.config
     return {
         "pipeline": pipeline.name,
         "config": asdict(config) if is_dataclass(config) else dict(config),
-        "engines": _spec_engines(config),
         "dataset": [_fingerprint_fit_arg(arg) for arg in fit_args],
     }
 
@@ -360,14 +339,14 @@ class Registry:
                     verify: bool = True, mmap: bool = False) -> RunResult:
         """Fit ``pipeline`` on ``fit_args`` — unless the registry already has it.
 
-        The normalized spec (pipeline name, full config, resolved engines,
-        dataset fingerprints) is hashed; a run record under that hash
+        The normalized spec (pipeline name, full config, dataset
+        fingerprints) is hashed; a run record under that hash
         whose artifact is still present turns the call into a verified
         load with no training.  Determinism end to end makes the cached
         artifact bit-identical to what a fresh fit would save, so the two
         paths are interchangeable.  A miss — new spec, changed seed or
-        config, different dataset content, an engine override, or a
-        garbage-collected artifact — fits, saves, and records.
+        config, different dataset content, or a garbage-collected
+        artifact — fits, saves, and records.
         """
         spec = fit_spec(pipeline, *fit_args)
         digest = spec_digest(spec)

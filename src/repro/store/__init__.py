@@ -9,7 +9,7 @@ fitted object in the synthesis path.  This package provides both:
   (:func:`write_table` / :func:`read_table`);
 * :mod:`repro.store.bundle` — versioned single-file bundle archives for
   fitted synthesizers and whole fitted pipelines, with a manifest (format
-  version, engines, seed, schema) and a content digest;
+  version, seed, schema) and a content digest;
 * :mod:`repro.store.stream` — streaming table sinks (chunked CSV and
   NPZ part directories) for the bounded-memory synthesis path;
 * :mod:`repro.store.atomic` — write-then-rename helpers shared by every

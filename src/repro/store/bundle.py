@@ -4,7 +4,7 @@ A *bundle* is a single zip archive of small, typed parts — JSON for
 configuration and schemas (through the exact :mod:`repro.store.codec`
 envelope), NPZ for arrays and tables (:mod:`repro.store.tablefmt`) — plus
 a ``manifest.json`` recording the format version, the bundle kind,
-provenance metadata (seed, resolved engines, column schema) and a SHA-256
+provenance metadata (seed, column schema) and a SHA-256
 digest over every part.  Because a bundle is one file, publishing it is
 one atomic ``os.replace``: a reader sees either the complete old bundle or
 the complete new one, never a torn state — even when a writer overwrites a
@@ -24,9 +24,9 @@ Serializers exist for every fitted object in the synthesis path:
 
 The model counts are stored as *unpacked* integer n-gram tables (one
 ``(n_contexts, k)`` context matrix per order plus CSR row pointers), the
-canonical sorted layout both training engines already agree on — so a
-loaded model reproduces the in-process model bit for bit on both the
-``object`` and ``compiled`` engines, regardless of which engine trained it.
+canonical sorted layout the compiled trainer and its object fallback
+already agree on — so a loaded model reproduces the in-process model bit
+for bit, regardless of which trainer produced it.
 """
 
 from __future__ import annotations
@@ -44,13 +44,12 @@ from repro import faults
 from repro.enhancement.enhancer import DataSemanticEnhancer, EnhancerConfig
 from repro.enhancement.mapping import MappingSystem
 from repro.great.synthesizer import GReaTConfig, GReaTSynthesizer
-from repro.llm.compiled import _MAX_PACKED_KEY
-from repro.llm.engine import resolve_engine_kind
+from repro.llm.compiled import ngrams_packable
 from repro.llm.finetune import FineTuneConfig
 from repro.llm.ngram_model import ModelConfig, NGramLanguageModel
 from repro.llm.sampler import SamplerConfig
 from repro.llm.tokenizer import Vocabulary, WordTokenizer
-from repro.llm.training import ArrayTrainedNGramModel, CorpusCounts, resolve_training_engine
+from repro.llm.training import ArrayTrainedNGramModel, CorpusCounts
 from repro.relational.parent_child import ParentChildConfig, ParentChildSynthesizer
 import repro.store.codec as codec
 import repro.store.npymap as npymap
@@ -428,18 +427,31 @@ def read_manifest(path) -> dict:
 # config reconstruction (frozen dataclasses from typed dicts)
 # ---------------------------------------------------------------------------
 
+def _current(d: dict) -> dict:
+    """*d* without the retired engine-switch fields.
+
+    Sampler and fine-tune configs once had an ``engine`` field and pipeline
+    configs a generation and a training ``*_engine`` field.  Bundles saved
+    then still carry them; dropping them here keeps those bundles loading,
+    and they sample the same rows (the switches only ever chose between
+    bit-identical engines).
+    """
+    return {key: value for key, value in d.items()
+            if key != "engine" and not key.endswith("_engine")}
+
+
 def _build_model_config(d: dict) -> ModelConfig:
     return ModelConfig(**d)
 
 
 def _build_fine_tune_config(d: dict) -> FineTuneConfig:
-    return FineTuneConfig(**{**d, "model": _build_model_config(d["model"])})
+    return FineTuneConfig(**{**_current(d), "model": _build_model_config(d["model"])})
 
 
 def _build_great_config(d: dict) -> GReaTConfig:
     return GReaTConfig(
         fine_tune=_build_fine_tune_config(d["fine_tune"]),
-        sampler=SamplerConfig(**d["sampler"]),
+        sampler=SamplerConfig(**_current(d["sampler"])),
         encoder=EncoderConfig(**d["encoder"]),
         sampling_strategy=d["sampling_strategy"],
         permutation_passes=d["permutation_passes"],
@@ -570,8 +582,7 @@ def _read_model(reader: BundleReader, prefix: str,
         )
     arrays = reader.arrays(prefix + "model_arrays")
     order = config.order
-    packable = vocab_size >= 1 and max(vocab_size, 2) ** order < _MAX_PACKED_KEY
-    if packable:
+    if ngrams_packable(vocab_size, order):
         keys: dict = {}
         row_ptr: dict = {}
         tokens: dict = {}
@@ -630,7 +641,6 @@ def _add_great(writer: BundleWriter, prefix: str, synth: GReaTSynthesizer) -> No
     writer.add_json(prefix + "config", asdict(synth.config))
     writer.add_json(prefix + "state", {
         "perplexity_trace": list(synth.perplexity_trace),
-        "training_engine": synth.training_engine,
         "lowercase": synth.model.tokenizer.lowercase,
     })
     writer.add_json(prefix + "decoder", {
@@ -664,7 +674,6 @@ def _read_great(reader: BundleReader, prefix: str) -> GReaTSynthesizer:
         model=model,
         decoder=decoder,
         perplexity_trace=state["perplexity_trace"],
-        training_engine=state["training_engine"],
     )
 
 
@@ -796,13 +805,6 @@ def _read_enhancer(reader: BundleReader, prefix: str) -> DataSemanticEnhancer:
 # public save/load entry points
 # ---------------------------------------------------------------------------
 
-def _engine_meta(fine_tune_engine: str, sampler_engine: str) -> dict:
-    return {
-        "training_engine": resolve_training_engine(fine_tune_engine),
-        "generation_engine": resolve_engine_kind(sampler_engine),
-    }
-
-
 def writer_for_great_synthesizer(synth: GReaTSynthesizer,
                                  compress: bool = False) -> BundleWriter:
     """Build the bundle writer for a fitted GReaT synthesizer."""
@@ -811,7 +813,6 @@ def writer_for_great_synthesizer(synth: GReaTSynthesizer,
     writer = BundleWriter("great_synthesizer", compress=compress, meta={
         "seed": synth.config.seed,
         "columns": synth._training_table.dtypes(),
-        **_engine_meta(synth.config.fine_tune.engine, synth.config.sampler.engine),
     })
     _add_great(writer, "", synth)
     return writer
@@ -839,8 +840,6 @@ def writer_for_parent_child(synth: ParentChildSynthesizer,
     writer = BundleWriter("parent_child_synthesizer", compress=compress, meta={
         "seed": synth.config.seed,
         "subject_column": synth._subject_column,
-        **_engine_meta(synth.config.parent.fine_tune.engine,
-                       synth.config.parent.sampler.engine),
     })
     _add_parent_child(writer, "", synth)
     return writer
@@ -866,7 +865,6 @@ def writer_for_fitted_pipeline(fitted, compress: bool = False) -> BundleWriter:
         "pipeline": fitted.name,
         "seed": fitted.config.seed,
         "columns": fitted.original_flat.dtypes(),
-        **_engine_meta(fitted.config.training_engine, fitted.config.generation_engine),
     })
     writer.add_json("pipeline", {
         "name": fitted.name,
@@ -896,7 +894,7 @@ def _read_fitted_pipeline(reader):
     state = reader.json("pipeline")
     config_dict = reader.json("pipeline_config")
     config = PipelineConfig(**{
-        **config_dict,
+        **_current(config_dict),
         "enhancer": EnhancerConfig(**config_dict["enhancer"]),
         "connector": ConnectorConfig(**config_dict["connector"]),
     })
@@ -930,12 +928,10 @@ def writer_for_multitable(synth, compress: bool = False) -> BundleWriter:
     """Build the bundle writer for a fitted multi-table synthesizer."""
     if not synth.is_fitted:
         raise StoreError("can only persist a fitted synthesizer")
-    backbone = synth.config.backbone
     writer = BundleWriter("multitable_synthesizer", compress=compress, meta={
         "seed": synth.config.seed,
         "tables": synth.graph.table_names,
         "foreign_keys": [fk.edge_name for fk in synth.graph.foreign_keys],
-        **_engine_meta(backbone.fine_tune.engine, backbone.sampler.engine),
     })
     _add_multitable(writer, "", synth)
     return writer
@@ -957,13 +953,11 @@ def load_multitable(path, mmap: bool = False, verify: bool = True):
 
 def writer_for_multitable_pipeline(fitted, compress: bool = False) -> BundleWriter:
     """Build the bundle writer for a fitted multitable pipeline."""
-    backbone = fitted.synthesizer.config.backbone
     writer = BundleWriter("multitable_pipeline", compress=compress, meta={
         "pipeline": fitted.name,
         "seed": fitted.config.seed,
         "tables": fitted.graph.table_names,
         "foreign_keys": [fk.edge_name for fk in fitted.graph.foreign_keys],
-        **_engine_meta(backbone.fine_tune.engine, backbone.sampler.engine),
     })
     writer.add_json("pipeline", {"name": fitted.name})
     writer.add_json("pipeline_config", asdict(fitted.config))
@@ -986,7 +980,7 @@ def _read_multitable_pipeline(reader):
     state = reader.json("pipeline")
     config_dict = reader.json("pipeline_config")
     config = MultiTablePipelineConfig(**{
-        **config_dict,
+        **_current(config_dict),
         "inference": InferenceConfig(**config_dict["inference"]),
     })
     fitted = FittedMultiTablePipeline(

@@ -17,7 +17,8 @@ The properties under test mirror the failure model (see the README's
   in-flight requests finish, and SIGTERM drives that drain end to end;
 * an interrupted ``iter_sample_database`` spill resumed with ``resume=True``
   produces byte-identical part files to an uninterrupted spill, on both
-  engines, across one or two interruptions;
+  trainers (``object``: an unpackable vocabulary forces the object-trainer
+  fallback), across one or two interruptions;
 * a dropped stream surfaces as :class:`IncompleteStream`, malformed HTTP
   is answered 400 and counted, a truncated bundle read raises
   :class:`StoreError`, and a failing sink raises ``OSError`` mid-spill.
@@ -65,14 +66,12 @@ from repro.store.stream import CsvTableSink, PartTableSink, part_table_is_comple
 # fixtures
 # ---------------------------------------------------------------------------
 
-def _config(seed=0, engine="compiled"):
+def _config(seed=0):
     return PipelineConfig(
         seed=seed,
         drop_columns=("task_id",),
         enhancer=EnhancerConfig(semantic_level="understandability", seed=seed),
         connector=ConnectorConfig(remove_noisy_columns=False),
-        generation_engine=engine,
-        training_engine=engine,
     )
 
 
@@ -101,10 +100,23 @@ def database_tables():
 
 
 @pytest.fixture(scope="module", params=["object", "compiled"])
-def multitable_fitted(request, database_tables):
-    config = MultiTablePipelineConfig(seed=3, generation_engine=request.param,
-                                      training_engine=request.param)
-    return MultiTableSchemaPipeline(config).fit(database_tables)
+def fitted_multitable(request, database_tables, unpackable_vocabulary):
+    """A fitted multitable pipeline per trainer: (engine, fitted).  ``object``
+    fits on an unpackable vocabulary, so the object-trainer fallback runs."""
+    with unpackable_vocabulary(request.param):
+        fitted = MultiTableSchemaPipeline(MultiTablePipelineConfig(seed=3)).fit(
+            database_tables)
+    return request.param, fitted
+
+
+@pytest.fixture
+def multitable_fitted(fitted_multitable, unpackable_vocabulary):
+    """:func:`fitted_multitable`'s pipeline, with an ``object`` fit's
+    vocabulary kept unpackable for the test (spills reload through the
+    dict tables and the tuple index)."""
+    engine, fitted = fitted_multitable
+    with unpackable_vocabulary(engine):
+        yield fitted
 
 
 @contextmanager
@@ -616,7 +628,7 @@ class TestSpillResume:
     @pytest.mark.parametrize("interruptions", [1, 2])
     def test_database_spill_resume_is_byte_identical(self, multitable_fitted,
                                                      tmp_path, interruptions):
-        """The acceptance property on both engines: an interrupted database
+        """The acceptance property on both trainers: an interrupted database
         spill resumed with ``resume=True`` produces byte-identical NPZ parts
         (and identical tables) to an uninterrupted spill."""
         reference_spool = tmp_path / "reference"

@@ -1,9 +1,11 @@
 """Equivalence and behaviour tests for the batched generation engine.
 
-The object and compiled backbones must produce *identical* outputs for
-identical seeds — bit-identical mass matrices in, one shared RNG protocol
-out.  These tests pin that contract across temperatures, top-k values,
-prompts, the validity-retry path, and the guided synthesizer stack.
+The engine runs the compiled CSR backbone; the legacy object backbone is
+kept as the oracle.  Both must produce *identical* outputs for identical
+seeds — bit-identical mass matrices in, one shared RNG protocol out.  These
+tests pin that contract across temperatures, top-k values, prompts, the
+validity-retry path, and the guided synthesizer stack, reaching the oracle
+through the engine's ``backbone`` seam.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.frame.table import Table
 from repro.great.synthesizer import GReaTConfig, GReaTSynthesizer
 from repro.llm.compiled import CompiledNGramModel
-from repro.llm.engine import BatchGenerationEngine, ObjectBackbone, resolve_engine_kind
+from repro.llm.engine import BatchGenerationEngine, ObjectBackbone
 from repro.llm.finetune import FineTuneConfig
 from repro.llm.ngram_model import ModelConfig, NGramLanguageModel
 from repro.llm.sampler import SamplerConfig, TemperatureSampler
@@ -38,11 +40,17 @@ def trained_model():
 
 
 def _engines(model, **config_kwargs):
-    object_engine = BatchGenerationEngine(
-        model, SamplerConfig(engine="object", **config_kwargs))
-    compiled_engine = BatchGenerationEngine(
-        model, SamplerConfig(engine="compiled", **config_kwargs))
+    """(oracle engine, runtime engine) over *model* with one sampler config."""
+    config = SamplerConfig(**config_kwargs)
+    object_engine = BatchGenerationEngine(model, config, backbone=ObjectBackbone(model))
+    compiled_engine = BatchGenerationEngine(model, config)
     return object_engine, compiled_engine
+
+
+def _with_oracle(synth: GReaTSynthesizer) -> GReaTSynthesizer:
+    """Swap the object oracle into a fitted synthesizer's engine."""
+    synth.engine.backbone = ObjectBackbone(synth.model)
+    return synth
 
 
 class TestBackboneMasses:
@@ -114,15 +122,14 @@ class TestFreeGenerationEquivalence:
 
     def test_chunked_batches_match_single_batch(self, trained_model):
         """Lane chunking must not change the draw sequence."""
-        wide = BatchGenerationEngine(
-            trained_model, SamplerConfig(engine="compiled", batch_lanes=512))
-        narrow = BatchGenerationEngine(
-            trained_model, SamplerConfig(engine="object", batch_lanes=512))
+        wide = BatchGenerationEngine(trained_model, SamplerConfig(batch_lanes=512))
+        narrow = BatchGenerationEngine(trained_model, SamplerConfig(batch_lanes=512),
+                                       backbone=ObjectBackbone(trained_model))
         assert wide.generate_sentences(30, seed=2) == narrow.generate_sentences(30, seed=2)
 
     def test_max_tokens_bounds_sequences(self, trained_model):
         engine = BatchGenerationEngine(
-            trained_model, SamplerConfig(engine="compiled", max_tokens=5, top_k=None))
+            trained_model, SamplerConfig(max_tokens=5, top_k=None))
         for ids in engine.generate_ids_batch(8, seed=0):
             assert len(ids) <= 5
 
@@ -136,10 +143,10 @@ class TestFreeGenerationEquivalence:
             compiled_engine.generate_sentences(6, seed=seed)
 
 
-def _great_config(engine, strategy="guided", temperature=0.85, seed=0):
+def _great_config(strategy="guided", temperature=0.85, seed=0):
     return GReaTConfig(
         fine_tune=FineTuneConfig(epochs=2, batches=2, model=ModelConfig(order=4)),
-        sampler=SamplerConfig(temperature=temperature, top_k=12, seed=seed, engine=engine),
+        sampler=SamplerConfig(temperature=temperature, top_k=12, seed=seed),
         sampling_strategy=strategy,
         seed=seed,
     )
@@ -159,16 +166,17 @@ class TestSynthesizerEquivalence:
     @pytest.mark.parametrize("strategy", ["guided", "free"])
     @pytest.mark.parametrize("temperature", [0.3, 0.85, 1.5])
     def test_identical_tables(self, meals_table, strategy, temperature):
-        object_synth = GReaTSynthesizer(
-            _great_config("object", strategy, temperature)).fit(meals_table)
+        object_synth = _with_oracle(GReaTSynthesizer(
+            _great_config(strategy, temperature)).fit(meals_table))
         compiled_synth = GReaTSynthesizer(
-            _great_config("compiled", strategy, temperature)).fit(meals_table)
+            _great_config(strategy, temperature)).fit(meals_table)
+        assert isinstance(compiled_synth.engine.backbone, CompiledNGramModel)
         assert object_synth.sample(25, seed=4) == compiled_synth.sample(25, seed=4)
 
     def test_identical_conditional_tables(self, meals_table):
         prompts = [{"Name": "Grace"}, {"Name": "Yin"}, {"Name": "Maya"}] * 4
-        object_synth = GReaTSynthesizer(_great_config("object")).fit(meals_table)
-        compiled_synth = GReaTSynthesizer(_great_config("compiled")).fit(meals_table)
+        object_synth = _with_oracle(GReaTSynthesizer(_great_config()).fit(meals_table))
+        compiled_synth = GReaTSynthesizer(_great_config()).fit(meals_table)
         object_out = object_synth.sample_conditional(prompts, seed=6)
         compiled_out = compiled_synth.sample_conditional(prompts, seed=6)
         assert object_out == compiled_out
@@ -177,42 +185,34 @@ class TestSynthesizerEquivalence:
     def test_negative_seeds_accepted(self, meals_table):
         """random.Random accepted any int seed; the numpy streams must too."""
         for strategy in ("guided", "free"):
-            synth = GReaTSynthesizer(_great_config("compiled", strategy)).fit(meals_table)
+            synth = GReaTSynthesizer(_great_config(strategy)).fit(meals_table)
             assert synth.sample(4, seed=-3) == synth.sample(4, seed=-3)
 
     def test_engine_shared_with_sampler(self, meals_table):
         """fit() must not freeze the compiled model twice."""
-        synth = GReaTSynthesizer(_great_config("compiled")).fit(meals_table)
+        synth = GReaTSynthesizer(_great_config()).fit(meals_table)
         assert synth.engine is synth._sampler.engine
+        assert synth.engine.backbone is synth.model.compiled_model()
 
     def test_batch_sampling_stays_on_training_support(self, meals_table):
-        synth = GReaTSynthesizer(_great_config("compiled")).fit(meals_table)
+        synth = GReaTSynthesizer(_great_config()).fit(meals_table)
         sample = synth.sample(40, seed=1)
         for name in meals_table.column_names:
             assert set(sample.column(name).unique()) <= set(meals_table.column(name).unique())
 
 
 class TestEngineSelection:
-    def test_resolve_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            resolve_engine_kind("gpu")
-
     def test_config_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(engine="gpu")
+        """The retired ``engine`` switch is not a sampler option."""
+        with pytest.raises(TypeError):
+            SamplerConfig(engine="object")
 
-    def test_env_var_controls_auto(self, trained_model, monkeypatch):
-        monkeypatch.setenv("REPRO_GENERATION_ENGINE", "object")
-        assert resolve_engine_kind("auto") == "object"
-        engine = BatchGenerationEngine(trained_model, SamplerConfig(engine="auto"))
-        assert engine.kind == "object"
-        monkeypatch.delenv("REPRO_GENERATION_ENGINE")
-        assert resolve_engine_kind(None) == "compiled"
-
-    def test_explicit_kind_overrides_config(self, trained_model):
-        engine = BatchGenerationEngine(
-            trained_model, SamplerConfig(engine="object"), kind="compiled")
-        assert engine.kind == "compiled"
+    def test_explicit_backbone_overrides_default(self, trained_model):
+        default = BatchGenerationEngine(trained_model, SamplerConfig())
+        assert isinstance(default.backbone, CompiledNGramModel)
+        oracle = ObjectBackbone(trained_model)
+        engine = BatchGenerationEngine(trained_model, SamplerConfig(), backbone=oracle)
+        assert engine.backbone is oracle
 
     def test_untrained_model_rejected(self):
         model = NGramLanguageModel(WordTokenizer())
@@ -224,10 +224,10 @@ class TestEngineSelection:
 
 class TestSamplerDelegation:
     def test_sample_batch_uses_engine(self, trained_model):
-        sampler = TemperatureSampler(trained_model, SamplerConfig(seed=1, engine="compiled"))
+        sampler = TemperatureSampler(trained_model, SamplerConfig(seed=1))
         sentences = sampler.sample_batch(7)
         assert len(sentences) == 7
-        assert sampler.engine.kind == "compiled"
+        assert isinstance(sampler.engine.backbone, CompiledNGramModel)
 
     def test_sample_batch_reproducible_after_reseed(self, trained_model):
         sampler = TemperatureSampler(trained_model, SamplerConfig(seed=1))

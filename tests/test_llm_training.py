@@ -1,9 +1,10 @@
 """Tests for the compiled training engine (batch encode, array counts, scoring).
 
-The load-bearing property: the ``object`` and ``compiled`` training engines
-must be *bit-identical* — same vocabulary ids, same integer count tables,
-same perplexity traces, and (through identical seeds) the same synthetic
-tables end to end.
+The load-bearing property: the compiled trainer and the object trainer it
+falls back to on unpackable vocabularies must be *bit-identical* — same
+vocabulary ids, same integer count tables, same perplexity traces, and
+(through identical seeds) the same synthetic tables end to end.  The
+``unpackable_vocabulary`` fixture forces the fallback.
 """
 
 import math
@@ -25,12 +26,7 @@ from repro.llm.ngram_model import (
 )
 from repro.llm.sampler import SamplerConfig
 from repro.llm.tokenizer import WordTokenizer
-from repro.llm.training import (
-    ArrayTrainedNGramModel,
-    TRAINING_ENGINES,
-    accumulate_counts,
-    resolve_training_engine,
-)
+from repro.llm.training import ArrayTrainedNGramModel, accumulate_counts
 
 WORDS = ["Name", ":", "Grace", "Yin", "Lunch", "Rice", "3", ",", "x", "20.5"]
 
@@ -169,37 +165,24 @@ class TestScoreCorpus:
 
 
 class TestTrainingEngineSwitch:
-    def test_resolve_explicit(self):
-        assert resolve_training_engine("object") == "object"
-        assert resolve_training_engine("compiled") == "compiled"
-        with pytest.raises(ValueError):
-            resolve_training_engine("gpu")
-
-    def test_resolve_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRAINING_ENGINE", "object")
-        assert resolve_training_engine("auto") == "object"
-        monkeypatch.setenv("REPRO_TRAINING_ENGINE", "bogus")
-        assert resolve_training_engine(None) == "compiled"
-        monkeypatch.delenv("REPRO_TRAINING_ENGINE")
-        assert resolve_training_engine() == "compiled"
-
     def test_config_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            FineTuneConfig(engine="gpu")
+        """The switch is retired: the vocabulary, not an option, selects the
+        trainer."""
+        with pytest.raises(TypeError):
+            FineTuneConfig(engine="object")
 
-    def test_engines_are_concrete(self):
-        assert set(TRAINING_ENGINES) == {"object", "compiled"}
 
-
-def _fine_tune_pair(corpus, order, epochs, batches, validation_fraction, seed):
-    results = {}
-    for engine in TRAINING_ENGINES:
-        config = FineTuneConfig(epochs=epochs, batches=batches,
-                                validation_fraction=validation_fraction,
-                                seed=seed, model=ModelConfig(order=order),
-                                engine=engine)
-        results[engine] = FineTuner(WordTokenizer(), config).fine_tune(corpus)
-    return results["object"], results["compiled"]
+def _fine_tune_pair(unpackable, corpus, order, epochs, batches, validation_fraction,
+                    seed):
+    """(object-fallback result, compiled result) of one fine-tuning config."""
+    config = FineTuneConfig(epochs=epochs, batches=batches,
+                            validation_fraction=validation_fraction,
+                            seed=seed, model=ModelConfig(order=order))
+    with unpackable():
+        object_result = FineTuner(WordTokenizer(), config).fine_tune(corpus)
+    compiled_result = FineTuner(WordTokenizer(), config).fine_tune(corpus)
+    assert object_result.engine == "object"
+    return object_result, compiled_result
 
 
 class TestEngineEquivalence:
@@ -211,12 +194,12 @@ class TestEngineEquivalence:
         batches=st.integers(min_value=1, max_value=4),
         validation_fraction=st.sampled_from([0.0, 0.1, 0.3]),
     )
-    def test_bitwise_identical_training(self, seed, order, epochs, batches,
-                                        validation_fraction):
+    def test_bitwise_identical_training(self, unpackable_vocabulary, seed, order, epochs,
+                                        batches, validation_fraction):
         """Property: counts, vocabulary, and perplexity trace match exactly."""
         corpus = _random_corpus(seed, n_sentences=30)
         object_result, compiled_result = _fine_tune_pair(
-            corpus, order, epochs, batches, validation_fraction, seed)
+            unpackable_vocabulary, corpus, order, epochs, batches, validation_fraction, seed)
         assert (object_result.model.tokenizer.vocabulary.token_to_id
                 == compiled_result.model.tokenizer.vocabulary.token_to_id)
         assert object_result.perplexity_trace == compiled_result.perplexity_trace
@@ -234,39 +217,45 @@ class TestEngineEquivalence:
         assert (object_result.model.trained_sentences
                 == array_model.trained_sentences)
 
-    def test_validation_fraction_zero_edge(self):
+    def test_validation_fraction_zero_edge(self, unpackable_vocabulary):
         corpus = _random_corpus(11, n_sentences=12)
         object_result, compiled_result = _fine_tune_pair(
-            corpus, order=3, epochs=2, batches=2, validation_fraction=0.0, seed=1)
+            unpackable_vocabulary, corpus, order=3, epochs=2, batches=2, validation_fraction=0.0, seed=1)
         assert len(object_result.perplexity_trace) == 1
         assert object_result.perplexity_trace == compiled_result.perplexity_trace
         assert object_result.validation_size == compiled_result.validation_size == 0
 
-    def test_identical_synthetic_tables(self):
+    def test_identical_synthetic_tables(self, unpackable_vocabulary):
+        """A synthesizer fitted through the object fallback samples the same
+        records as a compiled-trained one (the fallback model's generation
+        runs through the compiled backbone's tuple index)."""
         rng = random.Random(9)
         table = Table({
             "city": [rng.choice(["austin", "boston", "denver"]) for _ in range(80)],
             "clicks": [rng.randrange(8) for _ in range(80)],
         })
-        samples = {}
-        for engine in TRAINING_ENGINES:
-            config = GReaTConfig(
-                fine_tune=FineTuneConfig(epochs=2, batches=2, seed=4,
-                                         model=ModelConfig(order=4), engine=engine),
-                sampler=SamplerConfig(temperature=0.9, top_k=8, seed=4),
-                seed=4,
-            )
-            synthesizer = GReaTSynthesizer(config).fit(table)
-            assert synthesizer.training_engine == engine
-            samples[engine] = synthesizer.sample(120, seed=13).to_records()
-        assert samples["object"] == samples["compiled"]
+        config = GReaTConfig(
+            fine_tune=FineTuneConfig(epochs=2, batches=2, seed=4,
+                                     model=ModelConfig(order=4)),
+            sampler=SamplerConfig(temperature=0.9, top_k=8, seed=4),
+            seed=4,
+        )
+        with unpackable_vocabulary():
+            fallback = GReaTSynthesizer(config).fit(table)
+            assert not isinstance(fallback.model, ArrayTrainedNGramModel)
+            assert not fallback.engine.backbone.packed
+            fallback_records = fallback.sample(120, seed=13).to_records()
+        compiled = GReaTSynthesizer(config).fit(table)
+        assert isinstance(compiled.model, ArrayTrainedNGramModel)
+        assert compiled.engine.backbone.packed
+        assert fallback_records == compiled.sample(120, seed=13).to_records()
 
     def test_direct_freeze_of_array_model_materialises_dicts(self):
         """CompiledNGramModel(model) on an array-trained model must freeze the
         real counts, not the (lazily empty) dict tables."""
         corpus = _random_corpus(14, n_sentences=20)
         config = FineTuneConfig(epochs=2, batches=1, validation_fraction=0.0,
-                                seed=0, model=ModelConfig(order=3), engine="compiled")
+                                seed=0, model=ModelConfig(order=3))
         array_model = FineTuner(WordTokenizer(), config).fine_tune(corpus).model
         direct = CompiledNGramModel(array_model)
         cached = array_model.compiled_model()
@@ -281,8 +270,7 @@ class TestEngineEquivalence:
         extra = _random_corpus(13, n_sentences=5)
         tokenizer = WordTokenizer().fit(corpus + extra)
         config = FineTuneConfig(epochs=1, batches=1, validation_fraction=0.0,
-                                shuffle=False, seed=0, model=ModelConfig(order=3),
-                                engine="compiled")
+                                shuffle=False, seed=0, model=ModelConfig(order=3))
         array_model = FineTuner(tokenizer, config).fine_tune(corpus).model
         array_model.fit(extra)
         reference = NGramLanguageModel(tokenizer, ModelConfig(order=3))

@@ -65,8 +65,6 @@ def _config(seed=0):
         enhancer=EnhancerConfig(semantic_level="understandability", seed=seed),
         connector=ConnectorConfig(independence_method="threshold_mean",
                                   remove_noisy_columns=False),
-        generation_engine="compiled",
-        training_engine="compiled",
     )
 
 

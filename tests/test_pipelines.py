@@ -124,13 +124,6 @@ class TestPipelineConfig:
         with pytest.raises(NotImplementedError):
             MultiTablePipeline(_config()).run(trial.ads, trial.feeds)
 
-    def test_generation_engine_knob_threads_through(self):
-        config = PipelineConfig(generation_engine="object")
-        assert config.backbone().sampler.engine == "object"
-        parent_child = config.parent_child()
-        assert parent_child.parent.sampler.engine == "object"
-        assert parent_child.child.sampler.engine == "object"
-
     def test_n_synthetic_subjects_respected(self, trial):
         config = PipelineConfig(
             seed=0, drop_columns=("task_id",), n_synthetic_subjects=3,

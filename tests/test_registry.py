@@ -29,10 +29,8 @@ from repro.registry import (
     downgrade_bundle_to_v0,
     fingerprint_directory,
     fingerprint_table,
-    fit_spec,
     migrate_bundle,
     register_migration,
-    spec_digest,
 )
 from repro.registry.migrations import _MIGRATIONS
 from repro.store import StoreError
@@ -40,11 +38,11 @@ from repro.store.bundle import BundleIntegrityError, load_bundle
 from repro.store.bundle import save_great_synthesizer
 
 
-def _great_config(engine: str, seed: int = 3) -> GReaTConfig:
+def _great_config(seed: int = 3) -> GReaTConfig:
     return GReaTConfig(
         fine_tune=FineTuneConfig(epochs=2, batches=2, seed=seed,
-                                 model=ModelConfig(order=3), engine=engine),
-        sampler=SamplerConfig(temperature=0.9, top_k=8, seed=seed, engine=engine),
+                                 model=ModelConfig(order=3)),
+        sampler=SamplerConfig(temperature=0.9, top_k=8, seed=seed),
         seed=seed,
     )
 
@@ -70,14 +68,12 @@ class _GreatPipeline:
         return GReaTSynthesizer(self.config).fit(table)
 
 
-def _pipeline_config(engine: str = "object", seed: int = 0) -> PipelineConfig:
+def _pipeline_config(seed: int = 0) -> PipelineConfig:
     return PipelineConfig(
         seed=seed,
         drop_columns=("task_id",),
         enhancer=EnhancerConfig(semantic_level="none", seed=seed),
         connector=ConnectorConfig(remove_noisy_columns=False),
-        generation_engine=engine,
-        training_engine=engine,
     )
 
 
@@ -177,7 +173,7 @@ class TestRegistrySaveLoad:
             "lunch": [1, 2, 1, 3] * 6,
             "score": [0.5, 1.5, 0.5, 2.5] * 6,
         })
-        return GReaTSynthesizer(_great_config("compiled")).fit(table), table
+        return GReaTSynthesizer(_great_config()).fit(table), table
 
     def test_registry_digest_matches_bundle_file_digest(self, fitted, tmp_path):
         synth, _ = fitted
@@ -252,8 +248,7 @@ class TestMultitableDedup:
             max_items_per_order=2, max_reviews_per_customer=1, seed=4))
 
     def test_edge_synthesizers_share_physical_parts(self, retail, tmp_path):
-        pipeline = MultiTableSchemaPipeline(MultiTablePipelineConfig(
-            seed=2, generation_engine="compiled", training_engine="compiled"))
+        pipeline = MultiTableSchemaPipeline(MultiTablePipelineConfig(seed=2))
         report = Registry(tmp_path / "reg").save(pipeline.fit(retail))
         assert report.kind == "multitable_pipeline"
         assert report.shared, "expected at least one deduplicated part"
@@ -264,8 +259,7 @@ class TestMultitableDedup:
         assert len(shared_names) == len(set(shared_names))
 
     def test_fit_or_load_handles_table_dicts(self, retail, tmp_path):
-        pipeline = MultiTableSchemaPipeline(MultiTablePipelineConfig(
-            seed=2, generation_engine="compiled", training_engine="compiled"))
+        pipeline = MultiTableSchemaPipeline(MultiTablePipelineConfig(seed=2))
         registry = Registry(tmp_path / "reg")
         miss = registry.fit_or_load(pipeline, retail, None)
         hit = registry.fit_or_load(pipeline, retail, None)
@@ -284,32 +278,36 @@ class TestMultitableDedup:
 
 class TestFitOrLoad:
     @pytest.mark.parametrize("engine", ["object", "compiled"])
-    def test_cache_hit_is_bit_identical(self, training_table, tmp_path, engine):
+    def test_cache_hit_is_bit_identical(self, training_table, tmp_path, engine,
+                                        unpackable_vocabulary):
+        """``object``: an unpackable vocabulary, so the fit runs the object
+        trainer fallback and the hit loads through the dict-table rebuild."""
         registry = Registry(tmp_path / "reg")
-        pipeline = _GreatPipeline(_great_config(engine))
-        miss = registry.fit_or_load(pipeline, training_table)
-        assert not miss.cache_hit
-        assert miss.report is not None and miss.report.parts_written > 0
-        hit = registry.fit_or_load(pipeline, training_table)
-        assert hit.cache_hit
-        assert hit.report is None
-        assert hit.digest == miss.digest
-        assert hit.spec_digest == miss.spec_digest
-        assert fingerprint_table(hit.fitted.sample(10, seed=7)) == \
-            fingerprint_table(miss.fitted.sample(10, seed=7))
+        pipeline = _GreatPipeline(_great_config())
+        with unpackable_vocabulary(engine):
+            miss = registry.fit_or_load(pipeline, training_table)
+            assert not miss.cache_hit
+            assert miss.report is not None and miss.report.parts_written > 0
+            hit = registry.fit_or_load(pipeline, training_table)
+            assert hit.cache_hit
+            assert hit.report is None
+            assert hit.digest == miss.digest
+            assert hit.spec_digest == miss.spec_digest
+            assert fingerprint_table(hit.fitted.sample(10, seed=7)) == \
+                fingerprint_table(miss.fitted.sample(10, seed=7))
 
     def test_seed_change_is_a_miss(self, training_table, tmp_path):
         registry = Registry(tmp_path / "reg")
-        first = registry.fit_or_load(_GreatPipeline(_great_config("compiled", seed=3)),
+        first = registry.fit_or_load(_GreatPipeline(_great_config(seed=3)),
                                      training_table)
-        second = registry.fit_or_load(_GreatPipeline(_great_config("compiled", seed=4)),
+        second = registry.fit_or_load(_GreatPipeline(_great_config(seed=4)),
                                       training_table)
         assert not second.cache_hit
         assert second.spec_digest != first.spec_digest
 
     def test_dataset_change_is_a_miss(self, training_table, tmp_path):
         registry = Registry(tmp_path / "reg")
-        pipeline = _GreatPipeline(_great_config("compiled"))
+        pipeline = _GreatPipeline(_great_config())
         registry.fit_or_load(pipeline, training_table)
         changed = Table({name: list(training_table.column(name).values)
                          for name in training_table.column_names})
@@ -319,26 +317,9 @@ class TestFitOrLoad:
         result = registry.fit_or_load(pipeline, changed)
         assert not result.cache_hit
 
-    def test_engine_change_is_a_miss(self, training_table, tmp_path):
-        registry = Registry(tmp_path / "reg")
-        spec_object = spec_digest(fit_spec(_GreatPipeline(_great_config("object")),
-                                           training_table))
-        spec_compiled = spec_digest(fit_spec(_GreatPipeline(_great_config("compiled")),
-                                             training_table))
-        assert spec_object != spec_compiled
-
-    def test_env_engine_override_changes_spec(self, training_table, monkeypatch):
-        pipeline = _GreatPipeline(_great_config("auto"))
-        monkeypatch.delenv("REPRO_GENERATION_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_TRAINING_ENGINE", raising=False)
-        default = spec_digest(fit_spec(pipeline, training_table))
-        monkeypatch.setenv("REPRO_GENERATION_ENGINE", "object")
-        monkeypatch.setenv("REPRO_TRAINING_ENGINE", "object")
-        assert spec_digest(fit_spec(pipeline, training_table)) != default
-
     def test_pruned_artifact_triggers_refit(self, training_table, tmp_path):
         registry = Registry(tmp_path / "reg")
-        pipeline = _GreatPipeline(_great_config("compiled"))
+        pipeline = _GreatPipeline(_great_config())
         miss = registry.fit_or_load(pipeline, training_table)
         (registry._artifacts / (miss.digest + ".json")).unlink()
         registry.gc()
@@ -348,7 +329,7 @@ class TestFitOrLoad:
 
     def test_run_record_binds_spec_to_artifact(self, training_table, tmp_path):
         registry = Registry(tmp_path / "reg")
-        pipeline = _GreatPipeline(_great_config("compiled"))
+        pipeline = _GreatPipeline(_great_config())
         result = registry.fit_or_load(pipeline, training_table)
         record = registry.run_record(result.spec_digest)
         assert record is not None
@@ -359,7 +340,7 @@ class TestFitOrLoad:
     def test_full_pipeline_fit_or_load(self, tiny_digix, tmp_path):
         trial = tiny_digix.trials()[0]
         registry = Registry(tmp_path / "reg")
-        pipeline = GReaTERPipeline(_pipeline_config("compiled"))
+        pipeline = GReaTERPipeline(_pipeline_config())
         miss = registry.fit_or_load(pipeline, trial.ads, trial.feeds)
         hit = registry.fit_or_load(pipeline, trial.ads, trial.feeds)
         assert not miss.cache_hit and hit.cache_hit
@@ -381,7 +362,7 @@ class TestMigrations:
             "lunch": [1, 2, 1, 3] * 6,
             "score": [0.5, 1.5, 0.5, 2.5] * 6,
         })
-        synth = GReaTSynthesizer(_great_config("compiled")).fit(table)
+        synth = GReaTSynthesizer(_great_config()).fit(table)
         path = tmp_path_factory.mktemp("migrate") / "bundle"
         save_great_synthesizer(synth, path)
         return path, synth

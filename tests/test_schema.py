@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.datasets.relational import RetailConfig, generate_retail_like
 from repro.frame.table import Table
 from repro.great.synthesizer import GReaTConfig
+from repro.llm.engine import ObjectBackbone
 from repro.llm.finetune import FineTuneConfig
 from repro.llm.ngram_model import ModelConfig
 from repro.pipelines.multitable import (
@@ -31,19 +32,15 @@ from repro.schema import (
 from repro.serving import ServingConfig, ServingError, SynthesisService
 
 
-def _fast_backbone(seed=0, engine="auto"):
-    from repro.llm.sampler import SamplerConfig
-
+def _fast_backbone(seed=0):
     return GReaTConfig(
-        fine_tune=FineTuneConfig(epochs=2, batches=2, model=ModelConfig(order=4),
-                                 engine=engine),
-        sampler=SamplerConfig(engine=engine),
+        fine_tune=FineTuneConfig(epochs=2, batches=2, model=ModelConfig(order=4)),
         seed=seed,
     )
 
 
-def _config(seed=0, engine="auto", **kwargs):
-    return MultiTableConfig(backbone=_fast_backbone(seed, engine), seed=seed, **kwargs)
+def _config(seed=0, **kwargs):
+    return MultiTableConfig(backbone=_fast_backbone(seed), seed=seed, **kwargs)
 
 
 #: the ground-truth edges of the retail database
@@ -359,25 +356,32 @@ class TestMultiTableSynthesizer:
             MultiTableSynthesizer(_config()).fit(broken, retail_graph)
 
     def test_engines_produce_identical_databases(self, retail, retail_graph):
-        databases = {}
-        for engine in ("object", "compiled"):
-            synth = MultiTableSynthesizer(_config(engine=engine)).fit(retail, retail_graph)
-            databases[engine] = synth.sample_database(seed=9)
-        assert all(databases["object"][name] == databases["compiled"][name]
-                   for name in databases["object"])
+        """The object oracle swapped into every table's engine reproduces the
+        runtime backbone's database."""
+        synth = MultiTableSynthesizer(_config()).fit(retail, retail_graph)
+        compiled = synth.sample_database(seed=9)
+        greats = list(synth._root_synths.values()) + [
+            edge._synth for edge in synth._edges.values()]
+        for great in greats:
+            great.engine.backbone = ObjectBackbone(great.model)
+        oracle = synth.sample_database(seed=9)
+        assert sorted(oracle) == sorted(compiled)
+        assert all(oracle[name] == compiled[name] for name in compiled)
 
 
 # ---------------------------------------------------------------------------
-# acceptance: 3-level fit -> save -> load -> sample, byte identity, both engines
+# acceptance: 3-level fit -> save -> load -> sample, byte identity, both trainers
 # ---------------------------------------------------------------------------
 
 class TestPersistenceAcceptance:
     @pytest.mark.parametrize("engine", ["object", "compiled"])
     def test_fit_save_load_sample_byte_identical(self, retail, retail_graph,
-                                                 tmp_path, engine):
-        pipeline = MultiTableSchemaPipeline(MultiTablePipelineConfig(
-            seed=0, generation_engine=engine, training_engine=engine))
-        fitted = pipeline.fit(retail, retail_graph)
+                                                 tmp_path, engine, unpackable_vocabulary):
+        """``object``: the fit runs the object-trainer fallback (unpackable
+        vocabulary), and the reloaded bundle still samples the same bytes."""
+        pipeline = MultiTableSchemaPipeline(MultiTablePipelineConfig(seed=0))
+        with unpackable_vocabulary(engine):
+            fitted = pipeline.fit(retail, retail_graph)
         expected = fitted.sample_database(seed=11)
         digest = fitted.save(tmp_path / "bundle")
         loaded = FittedMultiTablePipeline.load(tmp_path / "bundle")

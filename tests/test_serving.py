@@ -25,15 +25,13 @@ from repro.serving import (
 from repro.store.bundle import load_fitted_pipeline
 
 
-def _config(seed=0, generation_engine="auto", training_engine="auto"):
+def _config(seed=0):
     return PipelineConfig(
         seed=seed,
         drop_columns=("task_id",),
         enhancer=EnhancerConfig(semantic_level="understandability", seed=seed),
         connector=ConnectorConfig(independence_method="threshold_mean",
                                   remove_noisy_columns=False),
-        generation_engine=generation_engine,
-        training_engine=training_engine,
     )
 
 
@@ -79,12 +77,14 @@ class TestFitSampleSplit:
 
 class TestPersistenceDeterminism:
     @pytest.mark.parametrize("engine", ["object", "compiled"])
-    def test_fit_save_load_sample_bit_identical(self, trial, tmp_path, engine):
+    def test_fit_save_load_sample_bit_identical(self, trial, tmp_path, engine,
+                                                unpackable_vocabulary):
         """The acceptance property: fit -> save -> load -> sample equals
-        fit -> sample for the same seed, on both engines."""
-        pipeline = GReaTERPipeline(_config(generation_engine=engine,
-                                           training_engine=engine))
-        fitted = pipeline.fit(trial.ads, trial.feeds)
+        fit -> sample for the same seed, whichever trainer ran (``object``:
+        an unpackable vocabulary forces the object-trainer fallback)."""
+        pipeline = GReaTERPipeline(_config())
+        with unpackable_vocabulary(engine):
+            fitted = pipeline.fit(trial.ads, trial.feeds)
         expected = fitted.sample(seed=5)
         fitted.save(tmp_path / "bundle")
         loaded, digest = load_fitted_pipeline(tmp_path / "bundle")

@@ -2,8 +2,9 @@
 
 The properties under test mirror the serving guarantees:
 
-* process-pool, thread-pool and serial execution are bit-identical on both
-  engines (the per-block seeds make output independent of where it runs);
+* process-pool, thread-pool and serial execution are bit-identical, also
+  for a bundle fitted on an unpackable vocabulary (the per-block seeds make
+  output independent of where it runs);
 * the bounded request queue rejects requests past the bound with 429 and
   loses none under it;
 * conditioned row requests coalesce across HTTP connections and still
@@ -42,15 +43,13 @@ from repro.serving.workers import decode_table, encode_table
 from repro.store.bundle import load_fitted_pipeline
 
 
-def _config(seed=0, engine="auto"):
+def _config(seed=0):
     return PipelineConfig(
         seed=seed,
         drop_columns=("task_id",),
         enhancer=EnhancerConfig(semantic_level="understandability", seed=seed),
         connector=ConnectorConfig(independence_method="threshold_mean",
                                   remove_noisy_columns=False),
-        generation_engine=engine,
-        training_engine=engine,
     )
 
 
@@ -60,18 +59,31 @@ def trial(tiny_digix):
 
 
 @pytest.fixture(scope="module", params=["object", "compiled"])
-def engine_bundle(request, trial, tmp_path_factory):
-    """A fitted GReaTER bundle per engine; tests get (engine, path)."""
-    engine = request.param
-    fitted = GReaTERPipeline(_config(engine=engine)).fit(trial.ads, trial.feeds)
-    path = tmp_path_factory.mktemp("bundles") / "greater-{}".format(engine)
+def fitted_bundle(request, trial, tmp_path_factory, bundle, unpackable_vocabulary):
+    """A fitted GReaTER bundle per trainer: (engine, path).  ``object`` fits
+    on an unpackable vocabulary, so the object-trainer fallback runs."""
+    if request.param == "compiled":
+        return "compiled", bundle
+    with unpackable_vocabulary():
+        fitted = GReaTERPipeline(_config()).fit(trial.ads, trial.feeds)
+    path = tmp_path_factory.mktemp("bundles") / "greater-object"
     fitted.save(path)
-    return engine, path
+    return "object", path
+
+
+@pytest.fixture
+def engine_bundle(fitted_bundle, unpackable_vocabulary):
+    """:func:`fitted_bundle`, with an ``object`` bundle's vocabulary kept
+    unpackable for the test (dict-table loads, tuple-index lookups — forked
+    process workers inherit it)."""
+    engine, _ = fitted_bundle
+    with unpackable_vocabulary(engine):
+        yield fitted_bundle
 
 
 @pytest.fixture(scope="module")
 def bundle(trial, tmp_path_factory):
-    fitted = GReaTERPipeline(_config(engine="compiled")).fit(trial.ads, trial.feeds)
+    fitted = GReaTERPipeline(_config()).fit(trial.ads, trial.feeds)
     path = tmp_path_factory.mktemp("bundles") / "greater"
     fitted.save(path)
     return path
@@ -114,9 +126,9 @@ def _running_server(service, max_queue=8):
 
 class TestProcessPoolIdentity:
     def test_process_thread_serial_bit_identical(self, engine_bundle):
-        """The tentpole guarantee on both engines: a table sampled serially,
+        """The tentpole guarantee on both trainers: a table sampled serially,
         thread-sharded and process-sharded is the same table, bit for bit."""
-        engine, path = engine_bundle
+        _, path = engine_bundle
         with _service(path, shards=1, block_size=4) as serial:
             reference = serial.sample_table(11, seed=9)
         with _service(path, shards=3, block_size=4) as threaded:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -26,7 +27,13 @@ from repro.store import (
     save_parent_child,
     write_table,
 )
-from repro.store.bundle import BundleWriter, load_bundle
+from repro.store.bundle import (
+    BundleReader,
+    BundleWriter,
+    archive_bytes,
+    load_bundle,
+    parts_digest,
+)
 from repro.store.codec import decode_value, dumps, encode_value, loads
 
 
@@ -269,11 +276,11 @@ class TestTableFormat:
 # synthesizer bundles
 # ---------------------------------------------------------------------------
 
-def _great_config(engine: str, seed: int = 3) -> GReaTConfig:
+def _great_config(seed: int = 3) -> GReaTConfig:
     return GReaTConfig(
         fine_tune=FineTuneConfig(epochs=2, batches=2, seed=seed,
-                                 model=ModelConfig(order=3), engine=engine),
-        sampler=SamplerConfig(temperature=0.9, top_k=8, seed=seed, engine=engine),
+                                 model=ModelConfig(order=3)),
+        sampler=SamplerConfig(temperature=0.9, top_k=8, seed=seed),
         seed=seed,
     )
 
@@ -289,36 +296,42 @@ def training_table():
 
 class TestGreatBundle:
     @pytest.mark.parametrize("engine", ["object", "compiled"])
-    def test_save_load_sample_bit_identical(self, engine, training_table, tmp_path):
-        synth = GReaTSynthesizer(_great_config(engine)).fit(training_table)
-        expected = synth.sample(12, seed=11)
-        save_great_synthesizer(synth, tmp_path / "bundle")
-        loaded = load_great_synthesizer(tmp_path / "bundle")
-        assert loaded.sample(12, seed=11) == expected
-        assert loaded.perplexity_trace == synth.perplexity_trace
-        assert loaded.training_engine == synth.training_engine
+    def test_save_load_sample_bit_identical(self, engine, training_table, tmp_path,
+                                            unpackable_vocabulary):
+        """``object`` round-trips the unpackable-vocabulary path end to end:
+        object-trainer fit, dict-table bundle load, tuple-index sampling."""
+        with unpackable_vocabulary(engine):
+            synth = GReaTSynthesizer(_great_config()).fit(training_table)
+            expected = synth.sample(12, seed=11)
+            save_great_synthesizer(synth, tmp_path / "bundle")
+            loaded = load_great_synthesizer(tmp_path / "bundle")
+            assert loaded.sample(12, seed=11) == expected
+            assert loaded.perplexity_trace == synth.perplexity_trace
 
-    def test_cross_engine_load_is_identical(self, training_table, tmp_path):
-        """An object-trained bundle sampled on load matches byte for byte —
-        the persisted counts are engine-neutral."""
-        expected = None
+    def test_cross_engine_load_is_identical(self, training_table, tmp_path,
+                                            unpackable_vocabulary):
+        """A bundle fitted through the object-trainer fallback is byte-identical
+        to the compiled-trained one — the persisted counts are trainer-neutral."""
+        digests = {}
+        sampled = {}
         for engine in ("object", "compiled"):
-            synth = GReaTSynthesizer(_great_config(engine)).fit(training_table)
-            save_great_synthesizer(synth, tmp_path / engine)
-            sampled = load_great_synthesizer(tmp_path / engine).sample(10, seed=5)
-            if expected is None:
-                expected = sampled
-            # both engines train bit-identical models, so both bundles
-            # reproduce the same synthetic table
-            assert sampled == expected
+            with unpackable_vocabulary(engine):
+                synth = GReaTSynthesizer(_great_config()).fit(training_table)
+            digests[engine] = save_great_synthesizer(synth, tmp_path / engine)
+            sampled[engine] = load_great_synthesizer(tmp_path / engine).sample(10, seed=5)
+        assert digests["object"] == digests["compiled"]
+        assert sampled["object"] == sampled["compiled"]
 
     @pytest.mark.parametrize("engine", ["object", "compiled"])
-    def test_mmap_load_samples_byte_identical(self, engine, training_table, tmp_path):
+    def test_mmap_load_samples_byte_identical(self, engine, training_table, tmp_path,
+                                              unpackable_vocabulary):
         """mmap=True serves the count tables as read-only file mappings and
-        the sampled output is byte-identical to the eager load."""
+        the sampled output is byte-identical to the eager load — also for a
+        bundle whose fit ran the object-trainer fallback."""
         import numpy as np
 
-        synth = GReaTSynthesizer(_great_config(engine)).fit(training_table)
+        with unpackable_vocabulary(engine):
+            synth = GReaTSynthesizer(_great_config()).fit(training_table)
         save_great_synthesizer(synth, tmp_path / "bundle")
         eager = load_great_synthesizer(tmp_path / "bundle")
         mapped = load_great_synthesizer(tmp_path / "bundle", mmap=True)
@@ -332,7 +345,7 @@ class TestGreatBundle:
         them eagerly and sampling still matches."""
         import numpy as np
 
-        synth = GReaTSynthesizer(_great_config("compiled")).fit(training_table)
+        synth = GReaTSynthesizer(_great_config()).fit(training_table)
         save_great_synthesizer(synth, tmp_path / "bundle", compress=True)
         eager = load_great_synthesizer(tmp_path / "bundle")
         mapped = load_great_synthesizer(tmp_path / "bundle", mmap=True)
@@ -346,7 +359,7 @@ class TestGreatBundle:
 
         from repro.store.bundle import BundleReader
 
-        synth = GReaTSynthesizer(_great_config("compiled")).fit(training_table)
+        synth = GReaTSynthesizer(_great_config()).fit(training_table)
         save_great_synthesizer(synth, tmp_path / "bundle")
         eager = BundleReader(tmp_path / "bundle").arrays("model_arrays")
         mapped = BundleReader(tmp_path / "bundle", mmap=True).arrays("model_arrays")
@@ -356,18 +369,18 @@ class TestGreatBundle:
             assert np.array_equal(eager[name], mapped[name])
 
     def test_manifest_records_version_kind_digest(self, training_table, tmp_path):
-        synth = GReaTSynthesizer(_great_config("compiled")).fit(training_table)
+        synth = GReaTSynthesizer(_great_config()).fit(training_table)
         digest = save_great_synthesizer(synth, tmp_path / "bundle")
         manifest = read_manifest(tmp_path / "bundle")
         assert manifest["kind"] == "great_synthesizer"
         assert manifest["digest"] == digest
         assert manifest["format_version"] == 1
-        assert manifest["meta"]["training_engine"] in ("object", "compiled")
+        assert not any(key.endswith("engine") for key in manifest["meta"])
 
     def test_newer_format_version_rejected(self, training_table, tmp_path):
         import zipfile
 
-        synth = GReaTSynthesizer(_great_config("compiled")).fit(training_table)
+        synth = GReaTSynthesizer(_great_config()).fit(training_table)
         save_great_synthesizer(synth, tmp_path / "bundle")
         with zipfile.ZipFile(tmp_path / "bundle") as archive:
             parts = {name: archive.read(name) for name in archive.namelist()}
@@ -387,11 +400,11 @@ class TestGreatBundle:
 
     def test_unfitted_synthesizer_rejected(self, tmp_path):
         with pytest.raises(StoreError):
-            save_great_synthesizer(GReaTSynthesizer(_great_config("compiled")),
+            save_great_synthesizer(GReaTSynthesizer(_great_config()),
                                    tmp_path / "bundle")
 
     def test_atomic_bundle_overwrite(self, training_table, tmp_path):
-        synth = GReaTSynthesizer(_great_config("compiled")).fit(training_table)
+        synth = GReaTSynthesizer(_great_config()).fit(training_table)
         first = save_great_synthesizer(synth, tmp_path / "bundle")
         second = save_great_synthesizer(synth, tmp_path / "bundle")
         assert first == second
@@ -403,10 +416,103 @@ class TestGreatBundle:
             BundleWriter("martian")
 
     def test_load_bundle_dispatches_on_kind(self, training_table, tmp_path):
-        synth = GReaTSynthesizer(_great_config("compiled")).fit(training_table)
+        synth = GReaTSynthesizer(_great_config()).fit(training_table)
         save_great_synthesizer(synth, tmp_path / "bundle")
         loaded = load_bundle(tmp_path / "bundle")
         assert isinstance(loaded, GReaTSynthesizer)
+
+
+def _with_retired_engine_keys(value):
+    """A decoded bundle JSON part as bundles saved with the engine switches
+    wrote it: ``engine`` in fine-tune/sampler configs, the trainer in the
+    synthesizer state."""
+    if isinstance(value, list):
+        return [_with_retired_engine_keys(item) for item in value]
+    if not isinstance(value, dict):
+        return value
+    value = {key: _with_retired_engine_keys(item) for key, item in value.items()}
+    if "epochs" in value or "top_k" in value:
+        value["engine"] = "auto"
+    if "perplexity_trace" in value:
+        value["training_engine"] = "compiled"
+    return value
+
+
+def _rewrite_as_pre_removal_bundle(path) -> None:
+    """Rewrite the bundle at *path* with the retired engine keys in every
+    stored config (pipeline configs included) and in the manifest meta."""
+    reader = BundleReader(path)
+    manifest = dict(reader.manifest)
+    parts = {name: reader._part(name) for name in manifest["parts"]}
+    for name in [n for n in parts if n.endswith(".json")]:
+        value = _with_retired_engine_keys(loads(parts[name].decode("utf-8")))
+        if name == "pipeline_config.json":
+            value.update(generation_engine="auto", training_engine="auto")
+        parts[name] = dumps(value).encode("utf-8")
+    manifest["meta"] = {**manifest["meta"], "training_engine": "compiled",
+                        "generation_engine": "compiled"}
+    manifest["parts"] = {name: len(blob) for name, blob in sorted(parts.items())}
+    manifest["digest"] = parts_digest(parts)
+    Path(path).write_bytes(archive_bytes(parts, manifest))
+
+
+class TestPreRemovalBundles:
+    """Bundles saved while the engine switches existed still load and sample
+    the same rows; their stored configs carry the retired keys."""
+
+    def test_great_synthesizer_bundle(self, training_table, tmp_path):
+        synth = GReaTSynthesizer(_great_config()).fit(training_table)
+        path = tmp_path / "bundle"
+        save_great_synthesizer(synth, path)
+        _rewrite_as_pre_removal_bundle(path)
+        assert '"engine"' in BundleReader(path)._part("config.json").decode()
+        loaded = load_great_synthesizer(path)
+        assert loaded.config == synth.config
+        assert loaded.sample(12, seed=11) == synth.sample(12, seed=11)
+
+    def test_flat_pipeline_bundle(self, tiny_digix, tmp_path):
+        from repro.connecting.connector import ConnectorConfig
+        from repro.enhancement.enhancer import EnhancerConfig
+        from repro.pipelines.config import PipelineConfig
+        from repro.pipelines.greater import GReaTERPipeline
+
+        trial = tiny_digix.trials()[0]
+        config = PipelineConfig(seed=2, drop_columns=("task_id",),
+                                enhancer=EnhancerConfig(semantic_level="none", seed=2),
+                                connector=ConnectorConfig(remove_noisy_columns=False))
+        fitted = GReaTERPipeline(config).fit(trial.ads, trial.feeds)
+        path = tmp_path / "bundle"
+        fitted.save(path)
+        _rewrite_as_pre_removal_bundle(path)
+        loaded, _ = load_bundle(path)
+        assert loaded.config == config
+        assert loaded.sample(6, seed=4).synthetic_flat == \
+            fitted.sample(6, seed=4).synthetic_flat
+
+    def test_multitable_pipeline_bundle(self, tmp_path):
+        from repro.pipelines.multitable import (
+            MultiTablePipelineConfig,
+            MultiTableSchemaPipeline,
+        )
+
+        tables = {
+            "users": Table({"user_id": ["u{}".format(i) for i in range(8)],
+                            "city": ["a", "b", "c", "a", "b", "c", "a", "b"]}),
+            "orders": Table({"order_id": ["o{}".format(i) for i in range(16)],
+                             "user_id": ["u{}".format(i % 8) for i in range(16)],
+                             "amount": [3 * (i % 5) for i in range(16)]}),
+        }
+        fitted = MultiTableSchemaPipeline(MultiTablePipelineConfig(seed=3)).fit(tables)
+        path = tmp_path / "bundle"
+        fitted.save(path)
+        _rewrite_as_pre_removal_bundle(path)
+        loaded, _ = load_bundle(path)
+        assert loaded.config == fitted.config
+        fresh = fitted.sample_database(seed=5)
+        revived = loaded.sample_database(seed=5)
+        assert sorted(fresh) == sorted(revived)
+        for name in fresh:
+            assert revived[name] == fresh[name]
 
 
 class TestParentChildBundle:
@@ -414,8 +520,8 @@ class TestParentChildBundle:
         parent = Table({"user": ["u1", "u2", "u3"], "city": ["x", "y", "x"]})
         child = Table({"user": ["u1", "u1", "u2", "u3", "u3"],
                        "clicks": [1, 2, 1, 3, 2]})
-        config = ParentChildConfig(parent=_great_config("compiled"),
-                                   child=_great_config("compiled"), seed=3)
+        config = ParentChildConfig(parent=_great_config(),
+                                   child=_great_config(), seed=3)
         synth = ParentChildSynthesizer(config).fit(parent, child, "user")
         expected = synth.sample_all(4, seed=9)
         save_parent_child(synth, tmp_path / "pc")
@@ -427,8 +533,8 @@ class TestParentChildBundle:
     def test_subject_offset_shifts_keys_only(self, tmp_path):
         parent = Table({"user": ["u1", "u2"], "city": ["x", "y"]})
         child = Table({"user": ["u1", "u2", "u2"], "clicks": [1, 2, 3]})
-        config = ParentChildConfig(parent=_great_config("compiled"),
-                                   child=_great_config("compiled"), seed=3)
+        config = ParentChildConfig(parent=_great_config(),
+                                   child=_great_config(), seed=3)
         synth = ParentChildSynthesizer(config).fit(parent, child, "user")
         base_parent, base_child = synth.sample(3, seed=5)
         off_parent, off_child = synth.sample(3, seed=5, subject_offset=10)
@@ -448,7 +554,7 @@ class TestBundleVerification:
             "lunch": [1, 2, 1, 3] * 6,
             "score": [0.5, 1.5, 0.5, 2.5] * 6,
         })
-        synth = GReaTSynthesizer(_great_config("compiled")).fit(table)
+        synth = GReaTSynthesizer(_great_config()).fit(table)
         path = tmp_path_factory.mktemp("verify") / "bundle"
         save_great_synthesizer(synth, path)
         return path, synth

@@ -3,8 +3,8 @@
 The properties under test mirror the streaming guarantees:
 
 * chunked synthesis is bit-identical to its in-memory materialization at the
-  same chunk size, on both engines and across chunk sizes {1, uneven,
-  exact-multiple, > rows};
+  same chunk size, on the runtime backbone and the object oracle, across
+  chunk sizes {1, uneven, exact-multiple, > rows};
 * the streaming CSV sink produces byte-identical files to
   :func:`repro.frame.io.write_csv`, publishes atomically and discards
   cleanly on abort;
@@ -34,6 +34,7 @@ from repro.frame.io import write_csv
 from repro.frame.ops import concat_rows
 from repro.frame.table import Table
 from repro.great.synthesizer import GReaTConfig, GReaTSynthesizer
+from repro.llm.engine import ObjectBackbone
 from repro.llm.finetune import FineTuneConfig
 from repro.llm.ngram_model import ModelConfig
 from repro.llm.sampler import SamplerConfig
@@ -64,22 +65,20 @@ def _sha256(path) -> str:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
-def _great_config(engine, seed=0):
+def _great_config(seed=0):
     return GReaTConfig(
         fine_tune=FineTuneConfig(epochs=2, batches=2, model=ModelConfig(order=4)),
-        sampler=SamplerConfig(engine=engine, seed=seed),
+        sampler=SamplerConfig(seed=seed),
         seed=seed,
     )
 
 
-def _pipeline_config(engine, seed=0):
+def _pipeline_config(seed=0):
     return PipelineConfig(
         seed=seed,
         drop_columns=("task_id",),
         enhancer=EnhancerConfig(semantic_level="understandability", seed=seed),
         connector=ConnectorConfig(remove_noisy_columns=False),
-        generation_engine=engine,
-        training_engine=engine,
     )
 
 
@@ -95,23 +94,43 @@ def meals_table():
 
 @pytest.fixture(scope="module", params=["object", "compiled"])
 def great_synth(request):
+    """A fitted synthesizer per backbone: the runtime one, or the object
+    oracle swapped into its engine."""
     table = Table({
         "Name": ["Grace", "Yin", "Anson", "Maya", "Leo", "Iris"],
         "Lunch": ["Rice", "Spaghetti", "Rice", "Noodles", "Spaghetti", "Rice"],
         "Rating": [5, 4, 3, 5, 4, 3],
     })
-    return request.param, GReaTSynthesizer(_great_config(request.param)).fit(table)
+    synth = GReaTSynthesizer(_great_config()).fit(table)
+    if request.param == "object":
+        synth.engine.backbone = ObjectBackbone(synth.model)
+    return request.param, synth
 
 
 @pytest.fixture(scope="module", params=["object", "compiled"])
-def engine_bundle(request, tiny_digix, tmp_path_factory):
-    """A fitted GReaTER bundle per engine; tests get (engine, path)."""
+def fitted_bundle(request, tiny_digix, tmp_path_factory, unpackable_vocabulary):
+    """A fitted GReaTER bundle per trainer: (engine, path).
+
+    ``object`` is the one object path a pipeline still reaches: a vocabulary
+    too large to pack, so the fit runs the object-trainer fallback.
+    """
     engine = request.param
     trial = tiny_digix.trials()[0]
-    fitted = GReaTERPipeline(_pipeline_config(engine)).fit(trial.ads, trial.feeds)
+    with unpackable_vocabulary(engine):
+        fitted = GReaTERPipeline(_pipeline_config()).fit(trial.ads, trial.feeds)
     path = tmp_path_factory.mktemp("bundles") / "greater-{}".format(engine)
     fitted.save(path)
     return engine, path
+
+
+@pytest.fixture
+def engine_bundle(fitted_bundle, unpackable_vocabulary):
+    """:func:`fitted_bundle`, with an ``object`` bundle's vocabulary kept
+    unpackable for the test: loads rebuild the dict tables and the compiled
+    backbone looks contexts up through its tuple index."""
+    engine, _ = fitted_bundle
+    with unpackable_vocabulary(engine):
+        yield fitted_bundle
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +189,7 @@ class TestPipelineStreamIdentity:
     @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
     def test_streamed_csv_matches_in_memory_bytes(self, engine_bundle, tmp_path,
                                                   chunk_rows):
-        """The tentpole identity on both engines: the CSV streamed chunk by
+        """The tentpole identity: the CSV streamed chunk by
         chunk is byte-identical (sha256) to writing the concatenated blocks
         in one shot."""
         _, path = engine_bundle
@@ -354,6 +373,8 @@ class TestDatabaseStreaming:
 # ---------------------------------------------------------------------------
 
 class TestMemoryBounds:
+    # the allocation pattern does not depend on which trainer fit the bundle
+    @pytest.mark.parametrize("fitted_bundle", ["compiled"], indirect=True)
     def test_streaming_peak_below_in_memory_peak(self, engine_bundle, tmp_path):
         """Chunked streaming must not materialize the table: its traced
         allocation peak stays well under the in-memory path's peak."""
@@ -416,7 +437,7 @@ class TestHttpStreaming:
     @pytest.fixture(scope="class")
     def served_bundle(self, tiny_digix, tmp_path_factory):
         trial = tiny_digix.trials()[0]
-        fitted = GReaTERPipeline(_pipeline_config("compiled")).fit(trial.ads, trial.feeds)
+        fitted = GReaTERPipeline(_pipeline_config()).fit(trial.ads, trial.feeds)
         path = tmp_path_factory.mktemp("bundles") / "greater-http"
         fitted.save(path)
         return path

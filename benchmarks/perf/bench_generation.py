@@ -15,7 +15,12 @@ Usage::
 
 The ``speedup`` column is object-engine time divided by compiled-engine time;
 the acceptance bar for the refactor is >=10x on the 50k-row guided sampling
-path (the default strategy every pipeline uses).
+path (the default strategy every pipeline uses).  The runtime engine
+memoizes guided candidate scores and the oracle never does, so the speedup
+includes the score cache; ``served_block`` times the shape a served table
+request runs (repeated 8-subject parent/child blocks on one warm
+synthesizer), and each benchmark records the runtime engines' score-cache
+counters under ``score_cache``.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ import random
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.frame.table import Table
 from repro.great.synthesizer import GReaTConfig, GReaTSynthesizer
 from repro.llm.finetune import FineTuneConfig
@@ -35,10 +38,14 @@ from repro.llm.ngram_model import ModelConfig
 from repro.llm.sampler import SamplerConfig
 from repro.relational.parent_child import ParentChildConfig, ParentChildSynthesizer
 
-from benchmarks.perf.oracle import ENGINES, use_backbone
+from benchmarks.perf.env import environment
+from benchmarks.perf.oracle import ENGINES, great_synthesizers, use_backbone
 
 #: The benchmark counted toward the >=10x acceptance bar.
 TARGET_PATH = "guided_sample"
+
+#: Subjects per block in ``served_block`` (the ``table_http`` block size).
+SERVED_BLOCK_SIZE = 8
 
 _CITIES = ["austin", "boston", "denver", "seattle", "miami", "portland",
            "chicago", "phoenix", "atlanta", "nashville", "tucson", "omaha"]
@@ -89,39 +96,70 @@ def _backbone(strategy: str, seed: int) -> GReaTConfig:
                        sampling_strategy=strategy, seed=seed)
 
 
-# -- benchmark bodies: each returns (timed_callable, result_to_compare) -------------
+# -- benchmark bodies: each returns (timed_callable, fitted); the callable ---------
+# -- returns the result to compare ---------------------------------------------------
 
 def bench_guided_sample(engine: str, rows: int, seed: int):
     synth = GReaTSynthesizer(_backbone("guided", seed))
     use_backbone(synth.fit(_training_table(400, seed)), engine)
-    return lambda: synth.sample(rows, seed=seed + 1).to_records()
+    return lambda: synth.sample(rows, seed=seed + 1).to_records(), synth
 
 
 def bench_free_sample(engine: str, rows: int, seed: int):
     synth = GReaTSynthesizer(_backbone("free", seed))
     use_backbone(synth.fit(_training_table(400, seed)), engine)
     n = max(rows // 10, 1)  # free generation retries internally; keep runtime sane
-    return lambda: synth.sample(n, seed=seed + 1).to_records()
+    return lambda: synth.sample(n, seed=seed + 1).to_records(), synth
 
 
-def bench_parent_child_sample(engine: str, rows: int, seed: int):
+def _parent_child(engine: str, seed: int) -> ParentChildSynthesizer:
     parent, child = _parent_child_tables(200, seed)
     config = ParentChildConfig(parent=_backbone("guided", seed),
                                child=_backbone("guided", seed), seed=seed)
     synth = ParentChildSynthesizer(config).fit(parent, child, "user_id")
-    use_backbone(synth, engine)
+    return use_backbone(synth, engine)
+
+
+def bench_parent_child_sample(engine: str, rows: int, seed: int):
+    synth = _parent_child(engine, seed)
     n_parents = max(rows // 20, 1)  # ~2 children per parent on average
     def body():
         parent_table, child_table, flat = synth.sample_all(n_parents, seed=seed + 1)
         return parent_table.to_records() + child_table.to_records() + flat.to_records()
-    return body
+    return body, synth
+
+
+def bench_served_block(engine: str, rows: int, seed: int):
+    """Repeated 8-subject blocks on one warm synthesizer, as a server runs them."""
+    synth = _parent_child(engine, seed)
+    size = SERVED_BLOCK_SIZE
+    synth.sample_flat(size, seed=seed, max_lanes=size)  # the warm-up request
+    seeds = [seed + 1 + block for block in range(max(rows // 500, 4))]
+    def body():
+        records = []
+        for block, block_seed in enumerate(seeds):
+            records.extend(synth.sample_flat(size, seed=block_seed,
+                                             subject_offset=block * size,
+                                             max_lanes=size).to_records())
+        return records
+    return body, synth
 
 
 BENCHMARKS = [
     ("guided_sample", bench_guided_sample),
     ("free_sample", bench_free_sample),
     ("parent_child_sample", bench_parent_child_sample),
+    ("served_block", bench_served_block),
 ]
+
+
+def score_cache_stats(fitted) -> dict:
+    """Score-cache counters summed over every engine under *fitted*."""
+    totals = {"hits": 0, "misses": 0, "entries": 0, "bytes": 0}
+    for synth in great_synthesizers(fitted):
+        for key, value in synth.engine.score_cache_stats().items():
+            totals[key] += value
+    return totals
 
 
 def run(rows: int, seed: int = 7, repeats: int = 1) -> dict:
@@ -129,16 +167,19 @@ def run(rows: int, seed: int = 7, repeats: int = 1) -> dict:
     results: dict[str, dict] = {}
     outputs: dict[str, dict] = {engine: {} for engine in ENGINES}
     timings: dict[str, dict] = {engine: {} for engine in ENGINES}
+    cache_stats: dict[str, dict] = {}
 
     for engine in ENGINES:
         for name, build in BENCHMARKS:
-            body = build(engine, rows, seed)
+            body, fitted = build(engine, rows, seed)
             best = float("inf")
             for _ in range(max(repeats, 1)):
                 start = time.perf_counter()
                 outputs[engine][name] = body()
                 best = min(best, time.perf_counter() - start)
             timings[engine][name] = best
+            if engine == "compiled":
+                cache_stats[name] = score_cache_stats(fitted)
 
     for name, _ in BENCHMARKS:
         identical = outputs["object"][name] == outputs["compiled"][name]
@@ -150,12 +191,13 @@ def run(rows: int, seed: int = 7, repeats: int = 1) -> dict:
             "speedup": round(object_s / compiled_s, 2) if compiled_s > 0 else float("inf"),
             "identical_output": identical,
             "generated_rows": len(outputs["compiled"][name]),
+            "score_cache": cache_stats[name],
         }
 
     return {
         "rows": rows,
         "seed": seed,
-        "numpy_version": np.__version__,
+        "repeats": max(repeats, 1),
         "benchmarks": results,
         "all_identical": all(entry["identical_output"] for entry in results.values()),
         "target_path": TARGET_PATH,
@@ -179,8 +221,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     rows = 500 if args.smoke else args.rows
-    report = run(rows, seed=args.seed, repeats=args.repeats)
-    report["mode"] = "smoke" if args.smoke else "full"
+    mode = "smoke" if args.smoke else "full"
+    report = {"env": environment(mode), **run(rows, seed=args.seed, repeats=args.repeats)}
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     width = max(len(name) for name, _ in BENCHMARKS)

@@ -21,10 +21,20 @@ expression shapes, same accumulation order), and everything downstream of
 the masses — RNG stream, temperature/top-k selection, EOS retirement, retry
 scheduling — is shared code, so swapping :attr:`BatchGenerationEngine.backbone`
 leaves every sampled sequence unchanged.
+
+Guided sampling scores every candidate value of a column per lane, and a
+served block revisits the same few (candidate set, context) pairs over and
+over.  :meth:`BatchGenerationEngine.score_candidates` therefore memoizes
+each lane's log-score row per engine, keyed by the candidate list's
+identity and the lane's context row and length — everything the row
+depends on.  Misses are computed through the uncached path, so a hit is
+bitwise the row a recompute would give.  The oracle backbone is never
+memoized: it stays the full recompute the cache is checked against.
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -40,6 +50,15 @@ _LOG_FLOOR = 1e-12
 #: passed arbitrary ints to ``random.Random``, so seeds are mapped into the
 #: non-negative range before seeding.
 SEED_MASK = 2 ** 63 - 1
+
+#: Byte cap of one engine's candidate-score cache.  A fitted bundle needs a
+#: few hundred rows; reaching the cap starts a fresh cache.
+SCORE_CACHE_BYTES = 4 * 2**20
+
+#: Bytes charged per cached row beyond its payload (dict slot, key object,
+#: array header) and per candidate of a newly pinned candidate list.
+_ENTRY_OVERHEAD = 200
+_CANDIDATE_OVERHEAD = 64
 
 
 def seeded_rng(seed: int | None) -> np.random.Generator:
@@ -124,6 +143,9 @@ class BatchGenerationEngine:
             raise ValueError("the model must be fit() before building an engine")
         self.model = model
         self.config = config or SamplerConfig()
+        self._score_hits = 0
+        self._score_misses = 0
+        self._score_lock = threading.Lock()
         # array-trained models hand back their cached CSR freeze, so no dict
         # walk (or re-freeze) happens here
         self.backbone = model.compiled_model() if backbone is None else backbone
@@ -133,6 +155,25 @@ class BatchGenerationEngine:
         self._bos_id = vocabulary.bos_id
         self._eos_id = vocabulary.eos_id
         self._width = model.config.order - 1
+
+    @property
+    def backbone(self):
+        """The mass computation; assigning one drops the score cache."""
+        return self._backbone
+
+    @backbone.setter
+    def backbone(self, backbone) -> None:
+        with self._score_lock:
+            self._backbone = backbone
+            self._score_cache = _ScoreCache()
+
+    def score_cache_stats(self) -> dict:
+        """``hits`` (lanes answered without computing), ``misses`` (rows
+        computed), and the live cache's ``entries`` and ``bytes``."""
+        with self._score_lock:
+            cache = self._score_cache
+            return {"hits": self._score_hits, "misses": self._score_misses,
+                    "entries": cache.entries, "bytes": cache.bytes}
 
     # -- free-text batched generation ---------------------------------------------------
 
@@ -275,6 +316,65 @@ class BatchGenerationEngine:
         rng = seeded_rng(seed) if rng is None else rng
         return GuidedBatchSession(self, n_lanes, rng)
 
+    def score_candidates(self, contexts: np.ndarray, lengths: np.ndarray,
+                         token_lists: Sequence[Sequence[int]]) -> np.ndarray:
+        """:meth:`_score_candidates`, memoized per (candidate list, context row).
+
+        The key is the identity of *token_lists* (the list is held by the
+        cache, so its ``id`` cannot be reused) plus each lane's context row
+        and length.  Rows missing from the cache are computed for their
+        distinct keys in one stacked uncached call.  Lookups take no lock:
+        the result is built from the rows held locally, and inserts and
+        evictions (under ``_score_lock``) never mutate a row table a reader
+        could be holding except by adding keys.
+        """
+        if isinstance(self._backbone, ObjectBackbone):
+            return self._score_candidates(contexts, lengths, token_lists)
+        n_lanes = contexts.shape[0]
+        keyed = np.empty((n_lanes, contexts.shape[1] + 1), dtype=np.int64)
+        keyed[:, :-1] = contexts
+        keyed[:, -1] = lengths
+        blob = keyed.tobytes()
+        step = keyed.shape[1] * 8
+        keys = [blob[lane * step:(lane + 1) * step] for lane in range(n_lanes)]
+        cache = self._score_cache
+        pinned = cache.sets.get(id(token_lists))
+        known = pinned[1] if pinned is not None and pinned[0] is token_lists else {}
+        rows = [known.get(key) for key in keys]
+        missing: dict[bytes, int] = {}
+        for lane, row in enumerate(rows):
+            if row is None and keys[lane] not in missing:
+                missing[keys[lane]] = lane
+        if missing:
+            lanes = np.fromiter(missing.values(), dtype=np.int64, count=len(missing))
+            computed = self._score_candidates(contexts[lanes], lengths[lanes], token_lists)
+            fresh = dict(zip(missing, computed))
+            rows = [fresh[key] if row is None else row for key, row in zip(keys, rows)]
+        with self._score_lock:
+            self._score_hits += n_lanes - len(missing)
+            self._score_misses += len(missing)
+            if missing:
+                self._insert_scores(token_lists, fresh,
+                                    computed.shape[1] * 8 + step + _ENTRY_OVERHEAD)
+        return np.stack(rows)
+
+    def _insert_scores(self, token_lists: Sequence, fresh: dict, row_bytes: int) -> None:
+        """Add the *fresh* rows not cached yet (caller holds ``_score_lock``).
+
+        A full cache is replaced, never cleared, so lock-free readers keep
+        the one they hold.
+        """
+        cache = self._score_cache
+        if cache.bytes + len(fresh) * row_bytes > SCORE_CACHE_BYTES:
+            cache = self._score_cache = _ScoreCache()
+        known = cache.rows_for(token_lists)
+        new = {key: row for key, row in fresh.items() if key not in known}
+        size = len(new) * row_bytes
+        if cache.bytes + size <= SCORE_CACHE_BYTES:
+            known.update(new)
+            cache.entries += len(new)
+            cache.bytes += size
+
     def _score_candidates(self, contexts: np.ndarray, lengths: np.ndarray,
                           token_lists: Sequence[Sequence[int]]) -> np.ndarray:
         """Log score of each candidate token sequence per lane, shape (lanes, candidates).
@@ -315,6 +415,32 @@ class BatchGenerationEngine:
             for slot, c in enumerate(live):
                 scores[:, c] += log_masses[slot * n_lanes:(slot + 1) * n_lanes]
         return scores
+
+
+class _ScoreCache:
+    """One generation of an engine's candidate-score cache.
+
+    ``sets`` maps ``id(token_lists)`` to ``(token_lists, rows)``, where
+    ``rows`` maps a lane's context-row-and-length bytes to its log-score
+    row.  ``entries`` and ``bytes`` are bookkeeping for the cap.
+    """
+
+    __slots__ = ("sets", "entries", "bytes")
+
+    def __init__(self):
+        self.sets: dict[int, tuple[Sequence, dict[bytes, np.ndarray]]] = {}
+        self.entries = 0
+        self.bytes = 0
+
+    def rows_for(self, token_lists: Sequence) -> dict[bytes, np.ndarray]:
+        """The row table of *token_lists*, pinning the list on first sight
+        (callers hold the engine's ``_score_lock``)."""
+        pinned = self.sets.get(id(token_lists))
+        if pinned is None or pinned[0] is not token_lists:
+            pinned = (token_lists, {})
+            self.sets[id(token_lists)] = pinned
+            self.bytes += _CANDIDATE_OVERHEAD * len(token_lists)
+        return pinned[1]
 
 
 class GuidedBatchSession:
@@ -407,7 +533,7 @@ class GuidedBatchSession:
             return np.zeros(self.n_lanes, dtype=np.int64)
         if temperature is None:
             temperature = self._engine.config.temperature
-        scores = self._engine._score_candidates(self.contexts, self.lengths, token_lists)
+        scores = self._engine.score_candidates(self.contexts, self.lengths, token_lists)
         return _choose_indices(scores, self._rng, temperature)
 
 

@@ -6,7 +6,7 @@ block-sharded full-table sampling that is bit-identical across worker
 counts, coalesced conditioned-row sampling that merges concurrent requests
 into one batched engine pass, whole-database sampling from ``multitable``
 bundles (level-sharded, identical across shard counts), and an LRU result
-cache keyed by ``(bundle digest, request)`` and bounded by approximate
+cache keyed by ``(bundle digest, request)`` and bounded by compressed
 result bytes.
 
 Around the service sit the scale-out pieces: a process
@@ -31,8 +31,6 @@ from repro.serving.service import (
     ServingConfig,
     ServingError,
     SynthesisService,
-    approx_result_bytes,
-    approx_table_bytes,
     derive_seed,
     process_peak_rss_bytes,
 )
@@ -59,8 +57,6 @@ __all__ = sorted([
     "ServingConfig",
     "ServingError",
     "SynthesisService",
-    "approx_result_bytes",
-    "approx_table_bytes",
     "derive_seed",
     "process_peak_rss_bytes",
 ] + list(_LAZY))

@@ -26,9 +26,10 @@ shapes without ever retraining:
 
 Results are memoised in an LRU cache keyed by ``(bundle digest, request)``
 — identical requests against the same artifact are served from memory.
-The cache is bounded by **approximate result bytes**
-(``ServingConfig.cache_bytes``), not entry count, so one huge table cannot
-silently pin the memory a thousand small results would fit in.
+Results are held as zlib-compressed NPZ bytes and the cache is bounded by
+their exact size (``ServingConfig.cache_bytes``), not entry count, so one
+huge table cannot silently pin the memory a thousand small results would
+fit in.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -48,6 +50,7 @@ from repro.obs import trace as obs
 from repro.pipelines.base import TABLE_BLOCK_STREAM, FittedPipeline, block_plan
 from repro.pipelines.multitable import FittedMultiTablePipeline
 from repro.serving.metrics import MetricsRegistry
+from repro.store.tablefmt import decode_table, encode_table
 
 
 class ServingError(RuntimeError):
@@ -87,39 +90,31 @@ def process_peak_rss_bytes() -> int | None:
     return int(peak) * 1024
 
 
-def approx_table_bytes(table: Table) -> int:
-    """Approximate in-memory footprint of a table, in bytes.
+def pack_result(value):
+    """A result as the cache holds it: each table zlib-compressed NPZ bytes.
 
-    Typed backends are sized from their arrays; object columns estimate
-    ~48 bytes of boxing overhead plus the stringified payload per value.
-    Cheap by construction — this runs on every cache insert.
+    *value* is a table or a name → table mapping.  Compressed bytes are a
+    few times smaller than the live table and their ``len`` is their exact
+    size, so a fast request path fills the byte budget with many results
+    rather than a few fat objects.
     """
-    total = 0
-    for column in table.columns:
-        backend = column._backend
-        data = getattr(backend, "data", None)
-        if isinstance(data, np.ndarray):  # NumericBackend
-            total += data.nbytes
-            mask = getattr(backend, "mask", None)
-            if isinstance(mask, np.ndarray):
-                total += mask.nbytes
-            continue
-        codes = getattr(backend, "codes", None)
-        if isinstance(codes, np.ndarray):  # CategoricalBackend
-            total += codes.nbytes
-            total += sum(48 + len(str(c)) for c in backend.categories)
-            continue
-        total += sum(48 + len(str(v)) for v in backend.tolist())
-    return total
-
-
-def approx_result_bytes(value) -> int:
-    """Approximate size of a cached serving result (table or table mapping)."""
-    if isinstance(value, Table):
-        return approx_table_bytes(value)
     if isinstance(value, dict):
-        return sum(approx_result_bytes(item) for item in value.values())
-    return 64
+        return {name: pack_result(table) for name, table in value.items()}
+    return zlib.compress(encode_table(value), 1)
+
+
+def unpack_result(packed):
+    """Inverse of :func:`pack_result` (the exact tables, backends included)."""
+    if isinstance(packed, dict):
+        return {name: unpack_result(blob) for name, blob in packed.items()}
+    return decode_table(zlib.decompress(packed))
+
+
+def packed_bytes(packed) -> int:
+    """Exact byte size of a :func:`pack_result` value."""
+    if isinstance(packed, dict):
+        return sum(len(blob) for blob in packed.values())
+    return len(packed)
 
 
 @dataclass(frozen=True)
@@ -130,7 +125,8 @@ class ServingConfig:
     level-sharded database sampling (the output is identical for every
     value — only throughput changes); ``block_size`` the number of
     synthetic subjects per independently seeded block; ``cache_bytes`` the
-    approximate byte budget of the LRU result cache (0 disables caching);
+    byte budget of the LRU result cache, counted in compressed result
+    bytes (0 disables caching);
     ``batch_window_s`` how long a coalescing leader waits for followers
     before draining the queue.
 
@@ -224,17 +220,16 @@ class RowRequest:
 
 
 class LruCache:
-    """A thread-safe LRU mapping bounded by approximate result bytes.
+    """A thread-safe LRU mapping bounded by bytes.
 
     ``capacity_bytes`` is the byte budget (0 disables the cache); every
-    entry is sized once at insert time by *sizer* (default
-    :func:`approx_result_bytes`) and the least-recently-used entries are
-    evicted until the total fits.  A single result larger than the whole
-    budget is never cached — it would only evict everything else and then
-    miss anyway.
+    entry is sized once at insert time by *sizer* (default ``len``) and
+    the least-recently-used entries are evicted until the total fits.  A
+    single result larger than the whole budget is never cached — it would
+    only evict everything else and then miss anyway.
     """
 
-    def __init__(self, capacity_bytes: int, sizer=approx_result_bytes):
+    def __init__(self, capacity_bytes: int, sizer=len):
         self.capacity_bytes = capacity_bytes
         self._sizer = sizer
         self._entries: "OrderedDict" = OrderedDict()  # key -> (value, size)
@@ -307,7 +302,7 @@ class SynthesisService:
         #: the process worker pool when ``executor == "process"`` (else None)
         self.pool = pool
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._cache = LruCache(self.config.cache_bytes)
+        self._cache = LruCache(self.config.cache_bytes, sizer=packed_bytes)
         self._stats_lock = threading.Lock()
         self._stats = {"table_requests": 0, "row_requests": 0, "database_requests": 0,
                        "coalesced_batches": 0, "coalesced_requests_max": 0,
@@ -487,6 +482,15 @@ class SynthesisService:
         info["reason"] = "worker pool degraded; crash-loop breaker open"
         return False, info
 
+    def _cached(self, key):
+        """The cached result for *key*, unpacked, or ``None``."""
+        packed = self._cache.get(key)
+        return None if packed is None else unpack_result(packed)
+
+    def _remember(self, key, value) -> None:
+        if self.config.cache_bytes:
+            self._cache.put(key, pack_result(value))
+
     def _degrade_to_serial(self, error: PoolDegraded):
         """Count a pool-degraded fallback, or re-raise in fail-fast mode."""
         if self.config.degraded_mode != "serial":
@@ -523,7 +527,7 @@ class SynthesisService:
                 obs.span("service.sample_database", attrs={"seed": seed}) as sp:
             n_key = tuple(sorted(n.items())) if isinstance(n, dict) else n
             key = (self.digest, "database", n_key, seed)
-            cached = self._cache.get(key)
+            cached = self._cached(key)
             if cached is not None:
                 sp.set_attr("cache_hit", True)
                 return cached
@@ -545,7 +549,7 @@ class SynthesisService:
             except DeadlineExceeded:
                 sp.add_event("deadline_exceeded")
                 raise
-            self._cache.put(key, database)
+            self._remember(key, database)
             return database
 
     # -- full-table sampling (block-sharded) -------------------------------------------
@@ -575,7 +579,7 @@ class SynthesisService:
         with self.metrics.histogram("sample_table").time(), \
                 obs.span("service.sample_table", attrs={"n": n, "seed": seed}) as sp:
             key = (self.digest, "table", n, seed, self.config.block_size)
-            cached = self._cache.get(key)
+            cached = self._cached(key)
             if cached is not None:
                 sp.set_attr("cache_hit", True)
                 return cached
@@ -603,7 +607,7 @@ class SynthesisService:
                 sp.add_event("deadline_exceeded")
                 raise
             table = concat_rows(parts)
-            self._cache.put(key, table)
+            self._remember(key, table)
             return table
 
     def iter_sample_table(self, n: int | None = None, seed: int | None = None,
@@ -712,7 +716,7 @@ class SynthesisService:
         request = self._normalize_request(n, conditions, seed)
         timeout_s = self._resolve_timeout(timeout_s)
         key = (self.digest, "rows", request)
-        cached = self._cache.get(key)
+        cached = self._cached(key)
         if cached is not None:
             return cached
         entry = _PendingRequest(request, timeout_s=timeout_s)
@@ -743,7 +747,7 @@ class SynthesisService:
         entry.event.wait()
         if entry.error is not None:
             raise entry.error
-        self._cache.put(key, entry.result)
+        self._remember(key, entry.result)
         return entry.result
 
     def sample_rows_many(self, requests: list[RowRequest],
@@ -799,8 +803,8 @@ class SynthesisService:
             if len(candidates) > 1 and not all(fixed):
                 # the one batched engine pass for this column: candidate
                 # scores for every lane of every pending request at once
-                scores = engine._score_candidates(session.contexts, session.lengths,
-                                                  token_lists)
+                scores = engine.score_candidates(session.contexts, session.lengths,
+                                                 token_lists)
             lane_tokens: list = [None] * total
             for index, request in enumerate(requests):
                 window = slices[index]

@@ -41,7 +41,6 @@ Failure model (see also the README's "Failure model & operations"):
 
 from __future__ import annotations
 
-import io
 import multiprocessing
 import os
 import threading
@@ -50,15 +49,13 @@ from collections import deque
 from multiprocessing.connection import wait as connection_wait
 from queue import Empty
 
-import numpy as np
-
 from repro import faults
 from repro.obs import trace as obs_trace
 from repro.serving.metrics import Counter
 from repro.serving.service import (DeadlineExceeded, PoolDegraded, RowRequest,
                                    ServingConfig, ServingError, SynthesisService,
                                    process_peak_rss_bytes)
-from repro.store.tablefmt import arrays_to_table, table_to_arrays
+from repro.store.tablefmt import decode_table, encode_table
 
 #: Seconds a worker gets to load the bundle and report ready.
 _READY_TIMEOUT_S = 60.0
@@ -67,19 +64,6 @@ _JOIN_TIMEOUT_S = 5.0
 _MAX_BACKOFF_S = 2.0
 #: How long a ``task_hang`` fault sleeps when the plan gives no argument.
 _HANG_DEFAULT_S = 3600.0
-
-
-def encode_table(table) -> bytes:
-    """Serialize a table to NPZ bytes (the columnar wire format)."""
-    buffer = io.BytesIO()
-    np.savez(buffer, **table_to_arrays(table))
-    return buffer.getvalue()
-
-
-def decode_table(blob: bytes):
-    """Inverse of :func:`encode_table`."""
-    with np.load(io.BytesIO(blob)) as data:
-        return arrays_to_table({key: data[key] for key in data.files})
 
 
 def _execute(service: SynthesisService, method: str, payload):

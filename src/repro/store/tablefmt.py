@@ -23,6 +23,7 @@ codes included.  Writes are atomic (temp file + ``os.replace``).
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
@@ -197,8 +198,21 @@ def arrays_to_table(arrays: dict) -> Table:
 
 
 # ---------------------------------------------------------------------------
-# file round trip
+# bytes and file round trips
 # ---------------------------------------------------------------------------
+
+def encode_table(table: Table) -> bytes:
+    """Serialize a table to NPZ bytes (the columnar wire format)."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **table_to_arrays(table))
+    return buffer.getvalue()
+
+
+def decode_table(blob: bytes) -> Table:
+    """Inverse of :func:`encode_table`."""
+    with np.load(io.BytesIO(blob)) as data:
+        return arrays_to_table({key: data[key] for key in data.files})
+
 
 def write_table(table: Table, path, compress: bool = True) -> Path:
     """Atomically persist *table* as a single NPZ artifact and return the path.

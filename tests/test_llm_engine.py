@@ -8,10 +8,15 @@ validity-retry path, and the guided synthesizer stack, reaching the oracle
 through the engine's ``backbone`` seam.
 """
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.llm.engine as engine_module
 from repro.frame.table import Table
 from repro.great.synthesizer import GReaTConfig, GReaTSynthesizer
 from repro.llm.compiled import CompiledNGramModel
@@ -199,6 +204,125 @@ class TestSynthesizerEquivalence:
         sample = synth.sample(40, seed=1)
         for name in meals_table.column_names:
             assert set(sample.column(name).unique()) <= set(meals_table.column(name).unique())
+
+
+def _served_blocks(synth, seeds, count=8):
+    """Served-block-shaped draws: *count* rows per seed, lanes capped at *count*."""
+    return [synth.sample(count, seed=seed, max_lanes=count).to_records() for seed in seeds]
+
+
+class TestScoreCache:
+    """The memoized candidate scores are the uncached rows, bit for bit."""
+
+    def _lanes(self, model):
+        vocabulary = model.tokenizer.vocabulary
+        encode = lambda text: [vocabulary.encode_token(t)  # noqa: E731
+                               for t in model.tokenizer.tokenize(text)]
+        token_lists = [encode("Fried Rice"), encode("Rice"), encode("Spaghetti"),
+                       encode("Rice , Dinner")]
+        width = model.config.order - 1
+        rng = np.random.default_rng(3)
+        base = rng.integers(0, len(vocabulary), size=(6, width)).astype(np.int64)
+        lengths = np.array([0, 1, 2, width, width, width], dtype=np.int64)
+        for lane, length in enumerate(lengths):
+            base[lane, :width - length] = 0  # unused context slots stay padded
+        base[5] = base[1]  # same row as lane 1, read at a different length
+        picks = np.array([0, 3, 1, 3, 0, 2, 4, 4, 1, 5, 0])  # duplicated lanes
+        return base[picks], lengths[picks], token_lists
+
+    def test_matches_uncached_per_lane_rows(self, trained_model):
+        contexts, lengths, token_lists = self._lanes(trained_model)
+        assert max(len(tokens) for tokens in token_lists) > 1
+        assert (lengths < contexts.shape[1]).any()
+        engine = BatchGenerationEngine(trained_model, SamplerConfig())
+        per_lane = np.concatenate([
+            engine._score_candidates(contexts[lane:lane + 1], lengths[lane:lane + 1],
+                                     token_lists)
+            for lane in range(contexts.shape[0])])
+        cold = engine.score_candidates(contexts, lengths, token_lists)
+        warm = engine.score_candidates(contexts, lengths, token_lists)
+        assert np.array_equal(cold, per_lane)
+        assert np.array_equal(warm, per_lane)
+        assert np.array_equal(cold, engine._score_candidates(contexts, lengths, token_lists))
+        stats = engine.score_cache_stats()
+        assert stats["misses"] == stats["entries"] == 6  # one row per distinct lane
+        assert stats["hits"] == 2 * contexts.shape[0] - 6
+        assert stats["bytes"] > 0
+
+    def test_candidate_lists_keyed_by_identity(self, trained_model):
+        contexts, lengths, token_lists = self._lanes(trained_model)
+        engine = BatchGenerationEngine(trained_model, SamplerConfig())
+        first = engine.score_candidates(contexts, lengths, token_lists)
+        reordered = token_lists[::-1]
+        assert np.array_equal(engine.score_candidates(contexts, lengths, reordered),
+                              first[:, ::-1])
+
+    def test_output_independent_of_cache_history(self, meals_table):
+        synth = GReaTSynthesizer(_great_config()).fit(meals_table)
+        cold = _served_blocks(synth, [11, 12])
+        synth.engine.backbone = synth.engine.backbone  # drops the cache
+        assert synth.engine.score_cache_stats()["entries"] == 0
+        _served_blocks(synth, range(20, 30))  # warm on other seeds
+        assert synth.engine.score_cache_stats()["hits"] > 0
+        assert _served_blocks(synth, [11, 12]) == cold
+
+    def test_evictions_keep_output_identical(self, meals_table, monkeypatch):
+        synth = GReaTSynthesizer(_great_config()).fit(meals_table)
+        expected = _served_blocks(synth, range(6))
+        synth.engine.backbone = synth.engine.backbone
+        monkeypatch.setattr(engine_module, "SCORE_CACHE_BYTES", 2048)
+        assert _served_blocks(synth, range(6)) == expected
+        stats = synth.engine.score_cache_stats()
+        assert stats["bytes"] <= 2048
+        assert stats["entries"] < stats["misses"]  # rows were dropped on the way
+
+    def test_threads_share_one_engine(self, meals_table):
+        """More threads than cores on one engine, switching as often as the
+        interpreter allows: same tables as a serial run, and no lost update
+        in the cache bookkeeping."""
+        synth = GReaTSynthesizer(_great_config()).fit(meals_table)
+        n_threads = max(4, (os.cpu_count() or 1) + 1)
+        seeds = list(range(40, 40 + 2 * n_threads))
+        serial = _served_blocks(synth, seeds)
+        scored = sum(synth.engine.score_cache_stats()[key] for key in ("hits", "misses"))
+        synth.engine.backbone = synth.engine.backbone
+        results: dict = {}
+
+        def worker(offset):
+            for seed in seeds[offset::n_threads]:
+                results[seed] = _served_blocks(synth, [seed])[0]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results[seed] for seed in seeds] == serial
+        stats = synth.engine.score_cache_stats()
+        assert stats["hits"] + stats["misses"] == 2 * scored
+        cache = synth.engine._score_cache
+        assert stats["entries"] == sum(len(rows) for _, rows in cache.sets.values())
+
+    def test_swapping_in_the_oracle_recomputes(self, meals_table, monkeypatch):
+        synth = GReaTSynthesizer(_great_config()).fit(meals_table)
+        runtime = _served_blocks(synth, [5, 6])
+        assert synth.engine.score_cache_stats()["entries"] > 0
+        oracle = ObjectBackbone(synth.model)
+        calls = []
+        dense_masses = oracle.dense_masses
+        monkeypatch.setattr(oracle, "dense_masses",
+                            lambda *args: calls.append(1) or dense_masses(*args))
+        synth.engine.backbone = oracle
+        assert synth.engine.score_cache_stats()["entries"] == 0
+        assert _served_blocks(synth, [5, 6]) == runtime
+        assert calls  # the oracle computed the scores itself
+        assert synth.engine.score_cache_stats()["entries"] == 0  # and is never memoized
 
 
 class TestEngineSelection:

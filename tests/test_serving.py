@@ -19,9 +19,10 @@ from repro.serving import (
     ServingConfig,
     ServingError,
     SynthesisService,
-    approx_table_bytes,
     derive_seed,
 )
+from repro.serving.service import pack_result, packed_bytes, unpack_result
+from repro.store.tablefmt import encode_table
 from repro.store.bundle import load_fitted_pipeline
 
 
@@ -249,14 +250,24 @@ class TestLruCache:
         cache.put("a", 1)
         assert cache.get("a") is None
 
-    def test_tables_are_sized_approximately(self):
+    def test_tables_are_sized_exactly(self):
         table = Table({"a": list(range(1000)), "b": ["x"] * 1000})
-        size = approx_table_bytes(table)
-        assert size >= 8000  # at least the int64 payload
-        cache = LruCache(2 * size)
-        cache.put("t", table)
-        assert cache.get("t") == table
-        assert cache.bytes_used == size
+        packed = pack_result(table)
+        assert isinstance(packed, bytes) and packed_bytes(packed) == len(packed)
+        cache = LruCache(2 * len(packed))
+        cache.put("t", packed)
+        assert cache.bytes_used == len(packed)
+        assert unpack_result(cache.get("t")) == table
+        database = pack_result({"users": table, "events": table.head(10)})
+        assert packed_bytes(database) == sum(len(blob) for blob in database.values())
+        assert unpack_result(database)["events"] == table.head(10)
+
+    def test_service_caches_compressed_results(self, bundle):
+        service = SynthesisService.from_bundle(bundle, ServingConfig(cache_bytes=1 << 20))
+        first = service.sample_table(6, seed=1)
+        assert 0 < service.stats()["cache_bytes_used"] < len(encode_table(first))
+        assert service.sample_table(6, seed=1) == first
+        assert service.stats()["cache_hits"] == 1
 
     def test_stats_report_cache_bytes_used(self, bundle):
         service = SynthesisService.from_bundle(bundle, ServingConfig(cache_bytes=1 << 20))

@@ -1,6 +1,6 @@
-"""Artifact-registry benchmark: fit-as-cache-hit, dedup, format migrations.
+"""Artifact-registry benchmark: fit-as-cache-hit and shared-part dedup.
 
-Measures the three things the content-addressed registry buys over plain
+Measures the two things the content-addressed registry buys over plain
 bundle files:
 
 * **fit as cache hit** — ``Registry.fit_or_load`` on a spec the registry
@@ -19,18 +19,15 @@ bundle files:
   pipeline must store at least one part once for several referencing part
   names (the edge synthesizers share config/vocabulary parts), i.e.
   ``bytes_reused > 0`` on a fresh save, and a second save of the same
-  artifact must write **zero** parts (incremental re-save);
-* **migration round trip** — a bundle downgraded to the synthetic v0
-  format must load transparently (migrated in memory on read) with
-  bit-identical samples, and batch-migrating it back must reproduce the
-  native v1 file **byte for byte**.
+  artifact must write **zero** parts (incremental re-save).
 
 Usage::
 
     PYTHONPATH=src python -m benchmarks.perf.bench_registry
     PYTHONPATH=src python -m benchmarks.perf.bench_registry --smoke  # CI-sized
 
-The report lands in ``BENCH_registry.json``; the process exits non-zero on
+The report lands in ``BENCH_registry.json`` under an ``env`` block
+(:mod:`benchmarks.perf.env`); the process exits non-zero on
 a missed cache-hit margin, zero dedup savings, a non-incremental re-save,
 or any identity mismatch.
 """
@@ -43,8 +40,6 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.connecting.connector import ConnectorConfig
 from repro.datasets.digix import DigixConfig, generate_digix_like
 from repro.datasets.relational import RetailConfig, generate_retail_like
@@ -52,8 +47,9 @@ from repro.enhancement.enhancer import EnhancerConfig
 from repro.pipelines.config import PipelineConfig
 from repro.pipelines.greater import GReaTERPipeline
 from repro.pipelines.multitable import MultiTablePipelineConfig, MultiTableSchemaPipeline
-from repro.registry import Registry, downgrade_bundle_to_v0, fingerprint_table, migrate_bundle
+from repro.registry import Registry, fingerprint_table
 
+from benchmarks.perf.env import environment
 from benchmarks.perf.oracle import ENGINES, trainer, use_backbone
 
 
@@ -81,8 +77,7 @@ def run(n_users: int, n_customers: int, seed: int = 7,
         cache_hit_margin: float = 10.0, compiled_margin: float = 2.0) -> dict:
     trial = _trial(n_users, seed)
     workdir = Path(tempfile.mkdtemp(prefix="bench_registry_"))
-    report: dict = {"n_users": n_users, "n_customers": n_customers, "seed": seed,
-                    "numpy_version": np.__version__}
+    report: dict = {"n_users": n_users, "n_customers": n_customers, "seed": seed}
 
     # -- fit as cache hit, bit identity, both engines -----------------------------------
     # The first fit_or_load trains and records; the second must resolve the
@@ -157,42 +152,7 @@ def run(n_users: int, n_customers: int, seed: int = 7,
         "incremental_resave": second.parts_written == 0,
     }
 
-    # -- migration round trip ----------------------------------------------------------
-    # v1 bundle -> synthetic v0 -> transparent load (migrated on read, same
-    # samples) -> batch migrate -> byte-identical to the native v1 file.
-    from repro.store.bundle import load_bundle
-
-    native = workdir / "native_v1"
-    pipeline = GReaTERPipeline(_pipeline_config(seed))
-    fitted_single = pipeline.fit(trial.ads, trial.feeds)
-    fitted_single.save(native)
-    reference = fitted_single.sample(n_users, seed=seed + 2).synthetic_flat
-
-    old = workdir / "downgraded_v0"
-    downgrade_bundle_to_v0(native, old)
-
-    start = time.perf_counter()
-    loaded, _ = load_bundle(old)
-    legacy_load_s = time.perf_counter() - start
-    legacy_flat = loaded.sample(n_users, seed=seed + 2).synthetic_flat
-
-    migrated = workdir / "migrated_v1"
-    result = migrate_bundle(old, out=migrated)
-    report["migration"] = {
-        "from_version": result["from_version"],
-        "to_version": result["to_version"],
-        "digest": result["digest"],
-        "legacy_load_s": round(legacy_load_s, 6),
-        "transparent_load_identical": (
-            fingerprint_table(legacy_flat) == fingerprint_table(reference)),
-        "round_trip_identical": migrated.read_bytes() == native.read_bytes(),
-    }
-
-    report["all_identical"] = (
-        report["cache_hit"]["identical_output"]
-        and report["migration"]["transparent_load_identical"]
-        and report["migration"]["round_trip_identical"]
-    )
+    report["all_identical"] = report["cache_hit"]["identical_output"]
     return report
 
 
@@ -217,10 +177,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     users, customers = (8, 8) if args.smoke else (args.users, args.customers)
-    report = run(users, customers, seed=args.seed,
-                 cache_hit_margin=args.cache_hit_margin,
-                 compiled_margin=args.compiled_margin)
-    report["mode"] = "smoke" if args.smoke else "full"
+    report = {"env": environment("smoke" if args.smoke else "full"),
+              **run(users, customers, seed=args.seed,
+                    cache_hit_margin=args.cache_hit_margin,
+                    compiled_margin=args.compiled_margin)}
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     for engine, entry in report["cache_hit"]["engines"].items():
@@ -233,16 +193,10 @@ def main(argv: list[str] | None = None) -> int:
               dedup["parts"], dedup["objects_stored"], dedup["total_bytes"],
               dedup["bytes_stored"], dedup["dedup_bytes_saved"],
               dedup["shared_objects"], dedup["resave_parts_written"]))
-    migration = report["migration"]
-    print("migration: v{} -> v{}  transparent load {:.4f}s identical={}  "
-          "round trip identical={}".format(
-              migration["from_version"], migration["to_version"],
-              migration["legacy_load_s"], migration["transparent_load_identical"],
-              migration["round_trip_identical"]))
     print("wrote {}".format(args.out))
 
     if not report["all_identical"]:
-        print("ERROR: cached/migrated output does not match the fresh fit")
+        print("ERROR: cached output does not match the fresh fit")
         return 1
     if not report["cache_hit"]["within_margin"]:
         print("ERROR: cache hit under the margin (object >= {}x, compiled "

@@ -16,8 +16,9 @@ customers with a secondary store key, plus a standalone stores table):
 * **referential integrity + seed determinism** — every foreign key of
   every sampled database present in its referenced table; same seed ->
   byte-identical, different seed -> different;
-* **served database sharding** — ``SynthesisService.sample_database`` at
-  1/2/4 shards, asserting every shard count yields the identical database.
+* **served database identity** — ``SynthesisService.sample_database`` on
+  the process executor at 1/2/4 workers, asserting every worker count
+  returns the database the inline service samples.
 
 Usage::
 
@@ -51,7 +52,7 @@ from repro.serving import ServingConfig, SynthesisService
 
 from benchmarks.perf.oracle import ENGINES, trainer, use_backbone
 
-SHARD_COUNTS = (1, 2, 4)
+WORKER_COUNTS = (1, 2, 4)
 
 #: ground-truth edges of the retail schema (see repro.datasets.relational)
 EXPECTED_EDGES = {
@@ -153,25 +154,24 @@ def run(n_customers: int, seed: int = 7) -> dict:
     report["engines"] = engines
     report["engines_identical"] = engine_bytes["object"] == engine_bytes["compiled"]
 
-    # -- served database sampling at several shard counts ------------------------------
+    # -- served database sampling on the process pool ---------------------------------
     bundle_path = workdir / "bundle_compiled"
+    with SynthesisService.from_bundle(bundle_path, ServingConfig(
+            cache_bytes=0)) as inline:
+        reference = _database_bytes(inline.sample_database(seed=seed + 3))
     serving: list[dict] = []
-    reference: dict[str, bytes] | None = None
-    for shards in SHARD_COUNTS:
-        service = SynthesisService.from_bundle(bundle_path, ServingConfig(
-            shards=shards, cache_bytes=0))
-        start = time.perf_counter()
-        database = service.sample_database(seed=seed + 3)
-        elapsed = time.perf_counter() - start
-        as_bytes = _database_bytes(database)
-        if reference is None:
-            reference = as_bytes
+    for workers in WORKER_COUNTS:
+        with SynthesisService.from_bundle(bundle_path, ServingConfig(
+                shards=workers, executor="process", cache_bytes=0)) as service:
+            start = time.perf_counter()
+            database = service.sample_database(seed=seed + 3)
+            elapsed = time.perf_counter() - start
         total_rows = sum(table.num_rows for table in database.values())
         serving.append({
-            "shards": shards,
+            "workers": workers,
             "seconds": round(elapsed, 6),
             "rows_per_s": round(total_rows / elapsed, 1) if elapsed > 0 else float("inf"),
-            "identical_across_shards": as_bytes == reference,
+            "identical_to_inline": _database_bytes(database) == reference,
         })
     report["serving"] = serving
 
@@ -180,7 +180,7 @@ def run(n_customers: int, seed: int = 7) -> dict:
         and report["engines_identical"]
         and all(entry["load_sample_identical"] and entry["seed_deterministic"]
                 and entry["referentially_intact"] for entry in engines.values())
-        and all(entry["identical_across_shards"] for entry in serving)
+        and all(entry["identical_to_inline"] for entry in serving)
     )
     return report
 
@@ -215,8 +215,8 @@ def main(argv: list[str] | None = None) -> int:
                   entry["referentially_intact"]))
     print("engines identical: {}".format(report["engines_identical"]))
     for entry in report["serving"]:
-        print("serving shards={shards}  {seconds:>8.3f}s  {rows_per_s:>9.1f} rows/s  "
-              "identical={identical_across_shards}".format(**entry))
+        print("serving workers={workers}  {seconds:>8.3f}s  {rows_per_s:>9.1f} rows/s  "
+              "identical={identical_to_inline}".format(**entry))
     if not report["all_identical"]:
         print("ERROR: identity, integrity or recovery assertion failed")
         return 1

@@ -30,10 +30,10 @@ from repro.registry.cas import ContentStore
 from repro.registry.fingerprint import fingerprint_table
 from repro.store.atomic import atomic_path
 from repro.store.bundle import (
-    BUNDLE_FORMAT_VERSION,
     BasePartReader,
     BundleIntegrityError,
     bundle_writer_for,
+    check_format_version,
     read_bundle_object,
     verify_parts,
 )
@@ -79,8 +79,9 @@ class RegistryReader(BasePartReader):
     With ``mmap=True``, uncompressed NPZ parts are memory-mapped straight
     from their object files (raw part bytes are valid standalone ``.npz``
     files), so concurrent serving workers share one page-cache copy per
-    part.  Artifacts recorded under an older format version are migrated
-    in memory on read, like legacy bundle files.
+    part.  A record with any format version other than
+    :data:`~repro.store.bundle.BUNDLE_FORMAT_VERSION` is refused, exactly
+    as a bundle file would be.
     """
 
     def __init__(self, store: ContentStore, record: dict, source: str,
@@ -90,8 +91,10 @@ class RegistryReader(BasePartReader):
         self.mmap = bool(mmap)
         self._objects = {name: entry["object"]
                          for name, entry in record["parts"].items()}
+        check_format_version(record.get("format_version"),
+                             "artifact {}".format(source))
         manifest = {
-            "format_version": record.get("format_version", BUNDLE_FORMAT_VERSION),
+            "format_version": record["format_version"],
             "kind": record["kind"],
             "digest": record["digest"],
             "compress": record.get("compress", False),
@@ -100,18 +103,10 @@ class RegistryReader(BasePartReader):
                       for name, entry in record["parts"].items()},
         }
         self._cache: dict[str, bytes] = {}
-        legacy = manifest["format_version"] < BUNDLE_FORMAT_VERSION
-        if legacy or verify:
+        if verify:
             raw = {name: self._store.get(sha)
                    for name, sha in self._objects.items()}
-            if verify:
-                verify_parts(manifest, raw, self.path)
-            if legacy:
-                from repro.registry.migrations import apply_migrations
-
-                manifest, raw, _ = apply_migrations(manifest, raw)
-                self._objects = {}
-                self.mmap = False
+            verify_parts(manifest, raw, self.path)
             if not self.mmap:
                 self._cache = raw
         self.manifest = manifest

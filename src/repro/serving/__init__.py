@@ -5,14 +5,15 @@
 block-sharded full-table sampling that is bit-identical across worker
 counts, coalesced conditioned-row sampling that merges concurrent requests
 into one batched engine pass, whole-database sampling from ``multitable``
-bundles (level-sharded, identical across shard counts), and an LRU result
-cache keyed by ``(bundle digest, request)`` and bounded by compressed
-result bytes.
+bundles, and an LRU result cache keyed by ``(bundle digest, request)`` and
+bounded by compressed result bytes.
 
-Around the service sit the scale-out pieces: a process
-:class:`~repro.serving.workers.WorkerPool` that runs the same deterministic
-work units on bundle-loaded worker processes
-(``ServingConfig(executor="process")``), the asyncio HTTP front end
+Work runs in exactly one of two places: inline on the calling thread (the
+default ``executor="thread"``, one shard — also the ``degraded_mode=
+"serial"`` fallback), or a process :class:`~repro.serving.workers.WorkerPool`
+that runs the same deterministic work units on ``shards`` bundle-loaded
+worker processes (``ServingConfig(executor="process")``).  Around the
+service sit the asyncio HTTP front end
 :class:`~repro.serving.server.SynthesisServer` with bounded-queue
 backpressure, and the :mod:`~repro.serving.metrics` latency histograms both
 read paths report in one schema.

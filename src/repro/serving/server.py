@@ -551,7 +551,7 @@ class SynthesisServer:
             effective = (timeout_s if timeout_s is not None
                          else self.service.config.timeout_s)
             if effective is not None and self.service.pool is None:
-                # thread executors cannot kill a running thread: enforce the
+                # an inline service cannot kill its running thread: enforce the
                 # deadline at the await; the orphaned thread runs to completion
                 # but its queue slot frees and the client gets its 503 now
                 try:

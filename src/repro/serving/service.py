@@ -9,7 +9,7 @@ shapes without ever retraining:
   ``n`` subjects.  The request is decomposed into fixed-size *blocks*, each
   sampled with a deterministically derived seed (:func:`derive_seed`), so
   the output is a pure function of ``(bundle, n, seed, block_size)`` — a
-  run sharded across ``W`` workers is bit-identical to the single-process
+  run spread across ``W`` worker processes is bit-identical to the inline
   run, for any ``W``.
 * :meth:`~SynthesisService.sample_rows` — ``n`` conditioned rows from the
   child synthesizer (e.g. "rows for a user with these contextual
@@ -20,9 +20,14 @@ shapes without ever retraining:
   a request's output never depends on what it was batched with.
 * :meth:`~SynthesisService.sample_database` — a whole synthetic multi-table
   database from a loaded ``multitable`` bundle (see :mod:`repro.schema`).
-  Tables of one schema depth level are sampled across the worker pool; the
-  per-table seeds are ``SeedSequence``-derived inside the synthesizer, so
-  every ``shards`` setting produces the identical database.
+  The per-table seeds are ``SeedSequence``-derived inside the synthesizer,
+  so a worker process returns the identical database to the inline run.
+
+Work runs in one of two places: inline on the calling thread
+(``executor="thread"``, the default, always one shard), or on a process
+:class:`~repro.serving.workers.WorkerPool` of ``shards`` bundle-loaded
+workers (``executor="process"``).  The inline path is also the
+``degraded_mode="serial"`` fallback when the pool's breaker is open.
 
 Results are memoised in an LRU cache keyed by ``(bundle digest, request)``
 — identical requests against the same artifact are served from memory.
@@ -121,20 +126,20 @@ def packed_bytes(packed) -> int:
 class ServingConfig:
     """Knobs of the serving layer.
 
-    ``shards`` is the worker count for block-sharded table sampling and
-    level-sharded database sampling (the output is identical for every
-    value — only throughput changes); ``block_size`` the number of
+    ``shards`` is the worker-process count of the process executor (the
+    output is identical for every value — only throughput changes);
+    ``block_size`` the number of
     synthetic subjects per independently seeded block; ``cache_bytes`` the
     byte budget of the LRU result cache, counted in compressed result
     bytes (0 disables caching);
     ``batch_window_s`` how long a coalescing leader waits for followers
     before draining the queue.
 
-    ``executor`` picks where the sampling work runs: ``"thread"`` shards
-    across a thread pool in-process (GIL-bound — identical output, little
-    speedup), ``"process"`` across a :class:`repro.serving.workers`
-    worker-process pool of ``shards`` bundle-loaded workers (requires
-    loading the service from a bundle path).  ``mmap`` makes bundle loads
+    ``executor`` picks where the sampling work runs: ``"thread"`` runs it
+    inline on the calling thread (one shard; ``shards > 1`` is rejected),
+    ``"process"`` across a :class:`repro.serving.workers` worker-process
+    pool of ``shards`` bundle-loaded workers (requires loading the service
+    from a bundle path or a registry).  ``mmap`` makes bundle loads
     memory-map the n-gram count tables instead of copying them — with
     process workers the tables then share one page-cache copy.
 
@@ -186,6 +191,10 @@ class ServingConfig:
             raise ValueError("batch_window_s must be non-negative")
         if self.executor not in ("thread", "process"):
             raise ValueError('executor must be "thread" or "process"')
+        if self.shards > 1 and self.executor != "process":
+            raise ValueError(
+                'shards={} needs executor="process" (the inline executor runs '
+                'one shard); pass executor="process" or shards=1'.format(self.shards))
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive (or None for no deadline)")
         if self.retries < 0:
@@ -393,7 +402,7 @@ class SynthesisService:
         return cls(fitted, config=config, digest=digest, pool=pool, metrics=metrics)
 
     def close(self) -> None:
-        """Release the process worker pool (no-op for thread executors)."""
+        """Release the process worker pool (no-op for the inline executor)."""
         if self.pool is not None:
             self.pool.close()
 
@@ -511,11 +520,10 @@ class SynthesisService:
                         timeout_s: float | None = None) -> dict:
         """A whole synthetic database from a loaded ``multitable`` bundle.
 
-        Tables of one schema depth level are mutually independent, so with
-        ``shards > 1`` they are sampled across a thread pool; the per-table
-        seeds are derived inside the synthesizer from the deterministic
-        topological order, so every shard count returns the identical
-        database (same guarantee as :meth:`sample_table`).
+        The per-table seeds are derived inside the synthesizer from the
+        deterministic topological order, so the process executor returns the
+        identical database to the inline run (same guarantee as
+        :meth:`sample_table`).
         """
         self._require_multitable()
         seed = self.fitted.config.seed if seed is None else seed
@@ -539,13 +547,8 @@ class SynthesisService:
                         self._degrade_to_serial(error)
                         sp.add_event("degraded_fallback")
                         database = self.fitted.sample_database(n, seed=seed)
-                elif self.config.shards == 1:
-                    database = self.fitted.sample_database(n, seed=seed)
                 else:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    with ThreadPoolExecutor(max_workers=self.config.shards) as pool:
-                        database = self.fitted.sample_database(n, seed=seed, map_fn=pool.map)
+                    database = self.fitted.sample_database(n, seed=seed)
             except DeadlineExceeded:
                 sp.add_event("deadline_exceeded")
                 raise
@@ -594,15 +597,9 @@ class SynthesisService:
                         sp.add_event("degraded_fallback")
                         parts = [self.fitted.sample_block(start, count, block_seed)
                                  for start, count, block_seed in blocks]
-                elif self.config.shards == 1 or len(blocks) == 1:
+                else:
                     parts = [self.fitted.sample_block(start, count, block_seed)
                              for start, count, block_seed in blocks]
-                else:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    with ThreadPoolExecutor(max_workers=self.config.shards) as pool:
-                        parts = list(pool.map(
-                            lambda block: self.fitted.sample_block(*block), blocks))
             except DeadlineExceeded:
                 sp.add_event("deadline_exceeded")
                 raise

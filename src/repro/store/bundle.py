@@ -64,8 +64,10 @@ from repro.store.tablefmt import (
 from repro.textenc.decoder import TextualDecoder
 from repro.textenc.encoder import EncoderConfig
 
-#: Version of the bundle layout; readers reject newer versions and migrate
-#: older ones on read through :mod:`repro.registry.migrations`.
+#: Version of the bundle layout.  Bundle files and registry artifacts are
+#: read only when they record exactly this version
+#: (:func:`check_format_version`); a change to the layout bumps it and
+#: brings its own upgrade path for the files saved before.
 BUNDLE_FORMAT_VERSION = 1
 
 MANIFEST_NAME = "manifest.json"
@@ -77,8 +79,7 @@ BUNDLE_KINDS = ("great_synthesizer", "parent_child_synthesizer", "fitted_pipelin
 #: Fixed timestamp for every zip entry (bundle archives and inner NPZ
 #: entries).  ``zipfile`` and ``numpy.savez`` stamp wall-clock time into
 #: entry headers, which would give two byte-identical parts different
-#: archive bytes — fatal for content addressing, part-level dedup and the
-#: byte-identity guarantees of format migrations.
+#: archive bytes — fatal for content addressing and part-level dedup.
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
@@ -237,6 +238,20 @@ class BundleWriter:
         return manifest["digest"]
 
 
+def check_format_version(version, source: str) -> None:
+    """Refuse a recorded format version other than :data:`BUNDLE_FORMAT_VERSION`.
+
+    The one version gate of every reader (bundle files and registry
+    artifacts).  Only the integer itself passes: older, newer, missing
+    (``None``) and non-integer values (``"1"``, ``True``) all raise
+    :class:`StoreError` naming *source*.
+    """
+    if type(version) is not int or version != BUNDLE_FORMAT_VERSION:
+        raise StoreError(
+            "{} records format version {!r}; this reader accepts only version "
+            "{}".format(source, version, BUNDLE_FORMAT_VERSION))
+
+
 class BasePartReader:
     """Shared part-decoding surface of every bundle reader.
 
@@ -309,11 +324,8 @@ class BundleReader(BasePartReader):
     a truncated copy or a flipped bit is caught at load time, not as a
     corrupt model downstream.
 
-    Bundles whose ``format_version`` predates :data:`BUNDLE_FORMAT_VERSION`
-    are migrated in memory on read through the selector-registered
-    migrations of :mod:`repro.registry.migrations` (integrity is verified
-    against the on-disk manifest *before* migrating; ``mmap`` is moot for
-    migrated bundles, which are always materialized).
+    A manifest recording any ``format_version`` other than
+    :data:`BUNDLE_FORMAT_VERSION` is refused (:func:`check_format_version`).
     """
 
     def __init__(self, path, mmap: bool = False, verify: bool = True):
@@ -335,25 +347,16 @@ class BundleReader(BasePartReader):
                 except (ValueError, UnicodeDecodeError) as error:
                     raise StoreError("bundle manifest at {} is corrupt: {}".format(
                         self.path, error)) from None
-                version = manifest.get("format_version")
-                if version is None or version > BUNDLE_FORMAT_VERSION:
-                    raise StoreError(
-                        "bundle format version {} is newer than supported version {}".format(
-                            version, BUNDLE_FORMAT_VERSION))
-                legacy = version < BUNDLE_FORMAT_VERSION
+                check_format_version(manifest.get("format_version"),
+                                     "bundle at {}".format(self.path))
                 part_names = [name for name in names if name != MANIFEST_NAME]
-                if legacy or verify or not self.mmap:
+                if verify or not self.mmap:
                     raw = {name: archive.read(name) for name in part_names}
                 else:
                     raw = {}
                 if verify:
                     verify_parts(manifest, raw, self.path)
-                if legacy:
-                    from repro.registry.migrations import apply_migrations
-
-                    manifest, raw, _ = apply_migrations(manifest, raw)
-                    self._parts = raw
-                elif self.mmap:
+                if self.mmap:
                     # keep only the byte ranges of the mappable NPZ parts;
                     # the eager bytes read for verification are dropped
                     self._parts = {}
@@ -390,29 +393,6 @@ class BundleReader(BasePartReader):
         if span is not None:
             return npymap.map_npz(self.path, *span)
         return super().arrays(name)
-
-
-class MemoryBundleReader(BasePartReader):
-    """A reader over an in-memory ``(manifest, parts)`` pair.
-
-    Used by the migration machinery (transform parts, read the result
-    without touching disk) and by the registry when loading a
-    pre-migration artifact.
-    """
-
-    def __init__(self, manifest: dict, parts: dict[str, bytes], verify: bool = False):
-        self.path = "<memory>"
-        self.mmap = False
-        if verify:
-            verify_parts(manifest, parts, self.path)
-        self.manifest = manifest
-        self._parts = dict(parts)
-
-    def _part(self, name: str) -> bytes:
-        try:
-            return self._parts[name]
-        except KeyError:
-            raise StoreError("in-memory bundle is missing part {!r}".format(name)) from None
 
 
 def read_manifest(path) -> dict:

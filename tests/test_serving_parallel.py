@@ -2,9 +2,11 @@
 
 The properties under test mirror the serving guarantees:
 
-* process-pool, thread-pool and serial execution are bit-identical, also
-  for a bundle fitted on an unpackable vocabulary (the per-block seeds make
-  output independent of where it runs);
+* process-pool and inline execution are bit-identical, also for a bundle
+  fitted on an unpackable vocabulary (the per-block seeds make output
+  independent of where it runs);
+* the inline executor runs one shard: more shards or ``serve --workers``
+  need the process executor;
 * the bounded request queue rejects requests past the bound with 429 and
   loses none under it;
 * conditioned row requests coalesce across HTTP connections and still
@@ -126,15 +128,19 @@ def _running_server(service, max_queue=8):
 
 class TestProcessPoolIdentity:
     def test_process_thread_serial_bit_identical(self, engine_bundle):
-        """The tentpole guarantee on both trainers: a table sampled serially,
-        thread-sharded and process-sharded is the same table, bit for bit."""
+        """The identity guarantee on both trainers: a table sampled inline
+        (the serial ``executor="thread"`` path) and one sampled on the
+        process pool are the same table, bit for bit."""
         _, path = engine_bundle
-        with _service(path, shards=1, block_size=4) as serial:
-            reference = serial.sample_table(11, seed=9)
-        with _service(path, shards=3, block_size=4) as threaded:
-            assert threaded.sample_table(11, seed=9) == reference
+        with _service(path, block_size=4) as inline:
+            reference = inline.sample_table(11, seed=9)
         with _service(path, shards=2, block_size=4, executor="process") as pooled:
             assert pooled.sample_table(11, seed=9) == reference
+
+    def test_inline_executor_rejects_shards(self):
+        with pytest.raises(ValueError, match='executor="process"'):
+            ServingConfig(shards=2)
+        assert ServingConfig(shards=2, executor="process").shards == 2
 
     def test_worker_counts_are_bit_identical(self, bundle):
         tables = []
@@ -364,6 +370,11 @@ class TestServeCli:
             assert main(["client", "stats", "--port", port, "--json"]) == 0
             stats = json.loads(capsys.readouterr().out)
             assert stats[0]["sample_table_count"] >= 1
+
+    def test_serve_workers_need_process_executor(self, bundle):
+        with pytest.raises(SystemExit, match="--executor process"):
+            main(["serve", "--bundle", str(bundle), "--workers", "2",
+                  "--max-seconds", "1"])
 
     def test_client_reports_unreachable_server(self):
         with pytest.raises(SystemExit):

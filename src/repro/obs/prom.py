@@ -2,16 +2,16 @@
 
 Renders a :class:`~repro.serving.metrics.MetricsRegistry` — labeled
 counters, gauges and latency histograms (as native ``_bucket{le=...}`` /
-``_sum`` / ``_count`` series) — plus any numeric scalars found in a nested
-stats dict, flattened into ``repro_<path>`` gauges.  No external client
-library: the format is plain text and this writer emits only the subset
-the registry needs.
+``_sum`` / ``_count`` series).  The registry is the only source: ``GET
+/metrics`` and the JSON ``GET /stats`` are two renderings of the same
+series, so every count is typed ``counter`` and per-worker values carry a
+``worker`` label.  No external client library: the format is plain text and
+this writer emits only the subset the registry needs.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any
 
 __all__ = ["CONTENT_TYPE", "prometheus_text"]
 
@@ -42,44 +42,24 @@ def _render_labels(labels: tuple, extra: tuple = ()) -> str:
 
 
 def _format_value(value: float) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, int):
         return str(value)
     return repr(float(value))
 
 
-def _flatten_scalars(stats: dict, path: tuple = ()) -> list:
-    """Depth-first numeric leaves of a nested stats dict as (path, value)."""
-
-    out = []
-    for key, value in stats.items():
-        here = path + (str(key),)
-        if isinstance(value, dict):
-            out.extend(_flatten_scalars(value, here))
-        elif isinstance(value, bool):
-            out.append((here, 1 if value else 0))
-        elif isinstance(value, (int, float)):
-            out.append((here, value))
-    return out
-
-
-def prometheus_text(registry, extra_stats: dict | None = None, prefix: str = "repro_") -> str:
-    """Render the registry (and optional stats scalars) as Prometheus text."""
+def prometheus_text(registry, prefix: str = "repro_") -> str:
+    """Render the registry as Prometheus text."""
 
     lines: list[str] = []
 
-    for name, series in sorted(registry.counter_series().items()):
-        metric = _metric_name(name, prefix)
-        lines.append("# TYPE {} counter".format(metric))
-        for labels, value in sorted(series):
-            lines.append("{}{} {}".format(metric, _render_labels(labels), _format_value(value)))
-
-    for name, series in sorted(registry.gauge_series().items()):
-        metric = _metric_name(name, prefix)
-        lines.append("# TYPE {} gauge".format(metric))
-        for labels, value in sorted(series):
-            lines.append("{}{} {}".format(metric, _render_labels(labels), _format_value(value)))
+    for kind, families in (("counter", registry.counter_series()),
+                           ("gauge", registry.gauge_series())):
+        for name, series in sorted(families.items()):
+            metric = _metric_name(name, prefix)
+            lines.append("# TYPE {} {}".format(metric, kind))
+            for labels, value in sorted(series):
+                lines.append("{}{} {}".format(metric, _render_labels(labels),
+                                              _format_value(value)))
 
     histograms = registry.snapshot()
     if histograms:
@@ -101,15 +81,5 @@ def prometheus_text(registry, extra_stats: dict | None = None, prefix: str = "re
             lines.append(
                 "{}_count{} {}".format(metric, _render_labels(label), snap["count"])
             )
-
-    if extra_stats:
-        skip = {"latency", "counters", "gauges"}
-        scalars = _flatten_scalars(
-            {key: value for key, value in extra_stats.items() if key not in skip}
-        )
-        for path, value in scalars:
-            metric = _metric_name("_".join(path), prefix)
-            lines.append("# TYPE {} gauge".format(metric))
-            lines.append("{} {}".format(metric, _format_value(value)))
 
     return "\n".join(lines) + "\n"

@@ -1,19 +1,19 @@
-"""Serving metrics: monotonic counters, gauges and latency histograms.
+"""Serving metrics: the one store behind ``/stats`` and ``/metrics``.
+
+:class:`MetricsRegistry` holds every count and gauge the serving layer
+publishes — service, worker pool and HTTP server alike — as *labeled*
+series (``registry.counter("requests_total", endpoint="sample_table")``):
+one per ``(name, sorted-label-set)``.  It is rendered two ways and copied
+nowhere: as ``name{key="value"}`` snapshot keys in the JSON ``/stats``
+payload (whose named keys are read out of that same snapshot), and as
+native series by ``repro.obs.prom`` for the ``/metrics`` Prometheus text.
 
 One :class:`LatencyHistogram` per endpoint records every observed request
 duration as ``count / total_s / max_s`` plus a fixed-bucket cumulative
-histogram — the schema is identical whether it is read in-process through
-:meth:`SynthesisService.stats` or over the wire from the server's
-``/stats`` endpoint, so dashboards need a single decoder.  Buckets are
-upper bounds in seconds; each observation lands in the first bucket whose
-bound is >= the duration (the last bucket is unbounded), Prometheus-style
-cumulative counts.
-
-:class:`MetricsRegistry` also holds *labeled* counters and gauges
-(``registry.counter("requests_total", endpoint="sample_table")``): one
-independent series per ``(name, sorted-label-set)``, rendered either as
-``name{key="value"}`` strings for the JSON ``/stats`` payload or as native
-series by ``repro.obs.prom`` for the ``/metrics`` Prometheus endpoint.
+histogram — the same schema in-process and over the wire, so dashboards
+need a single decoder.  Buckets are upper bounds in seconds; each
+observation lands in the first bucket whose bound is >= the duration (the
+last bucket is unbounded), Prometheus-style cumulative counts.
 
 Everything here is thread-safe and append-only: recorders never reset, so
 deltas between two snapshots are always meaningful.
@@ -29,8 +29,9 @@ from contextlib import contextmanager
 LATENCY_BUCKETS_S = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
                      0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
-#: Canonical label-set form: sorted ``(key, value)`` pairs.
-LabelKey = "tuple[tuple[str, str], ...]"
+def _label_key(labels: dict) -> tuple:
+    """The canonical label set: sorted ``(key, value)`` string pairs."""
+    return tuple(sorted((str(key), str(value)) for key, value in labels.items()))
 
 
 def format_series(name: str, labels: tuple) -> str:
@@ -42,7 +43,27 @@ def format_series(name: str, labels: tuple) -> str:
     return "{}{{{}}}".format(name, rendered)
 
 
-class Counter:
+def series_key(name: str, **labels) -> str:
+    """The snapshot key of one series, as it appears in ``/stats``."""
+    return format_series(name, _label_key(labels))
+
+
+class _Value:
+    """A lock-guarded number, zero until first written."""
+
+    __slots__ = ("_lock", "_value")
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._value = 0
+
+    @property
+    def value(self):
+        with self._lock:
+            return self._value
+
+
+class Counter(_Value):
     """A thread-safe monotonic counter.
 
     Bare ``int += 1`` from multiple threads happens to survive under the
@@ -51,46 +72,31 @@ class Counter:
     request threads at once — this makes the increment explicit and safe.
     """
 
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._value = 0
+    __slots__ = ()
 
     def increment(self, amount: int = 1) -> None:
         with self._lock:
             self._value += amount
 
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
 
+class Gauge(_Value):
+    """A thread-safe instantaneous value (last write wins).
 
-class Gauge:
-    """A thread-safe instantaneous value (last write wins)."""
+    Values keep their type, so an integer gauge (bytes, a worker count)
+    reads back and renders as an integer.
+    """
 
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._value = 0.0
+    __slots__ = ()
 
     def set(self, value: float) -> None:
         with self._lock:
-            self._value = float(value)
+            self._value = value
 
     def set_max(self, value: float) -> None:
-        """Keep the high-water mark (used for peak-RSS style gauges)."""
-        value = float(value)
+        """Keep the high-water mark (peak RSS, queue and batch watermarks)."""
         with self._lock:
             if value > self._value:
                 self._value = value
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
 
 
 class LatencyHistogram:
@@ -179,10 +185,6 @@ class LatencyHistogram:
         return out
 
 
-def _label_key(labels: dict) -> tuple:
-    return tuple(sorted((str(key), str(value)) for key, value in labels.items()))
-
-
 class MetricsRegistry:
     """Named histograms plus labeled counters/gauges, created on first use."""
 
@@ -200,22 +202,19 @@ class MetricsRegistry:
             return histogram
 
     def counter(self, name: str, **labels) -> Counter:
-        key = _label_key(labels)
-        with self._lock:
-            series = self._counters.setdefault(name, {})
-            counter = series.get(key)
-            if counter is None:
-                counter = series[key] = Counter()
-            return counter
+        return self._metric(self._counters, Counter, name, labels)
 
     def gauge(self, name: str, **labels) -> Gauge:
+        return self._metric(self._gauges, Gauge, name, labels)
+
+    def _metric(self, store: dict, kind, name: str, labels: dict):
         key = _label_key(labels)
         with self._lock:
-            series = self._gauges.setdefault(name, {})
-            gauge = series.get(key)
-            if gauge is None:
-                gauge = series[key] = Gauge()
-            return gauge
+            series = store.setdefault(name, {})
+            metric = series.get(key)
+            if metric is None:
+                metric = series[key] = kind()
+            return metric
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -224,32 +223,26 @@ class MetricsRegistry:
 
     def counter_series(self) -> dict:
         """``{name: [(label_pairs, value), ...]}`` for the Prometheus renderer."""
-        with self._lock:
-            names = {name: list(series.items()) for name, series in self._counters.items()}
-        return {
-            name: [(labels, counter.value) for labels, counter in series]
-            for name, series in names.items()
-        }
+        return self._series(self._counters)
 
     def gauge_series(self) -> dict:
+        return self._series(self._gauges)
+
+    def _series(self, store: dict) -> dict:
         with self._lock:
-            names = {name: list(series.items()) for name, series in self._gauges.items()}
-        return {
-            name: [(labels, gauge.value) for labels, gauge in series]
-            for name, series in names.items()
-        }
+            names = {name: list(series.items()) for name, series in store.items()}
+        return {name: [(labels, metric.value) for labels, metric in series]
+                for name, series in names.items()}
 
     def counters_snapshot(self) -> dict:
         """``{'name{key="value"}': value}`` — the JSON ``/stats`` rendering."""
-        return {
-            format_series(name, labels): value
-            for name, series in sorted(self.counter_series().items())
-            for labels, value in sorted(series)
-        }
+        return _flatten(self.counter_series())
 
     def gauges_snapshot(self) -> dict:
-        return {
-            format_series(name, labels): value
-            for name, series in sorted(self.gauge_series().items())
-            for labels, value in sorted(series)
-        }
+        return _flatten(self.gauge_series())
+
+
+def _flatten(series_by_name: dict) -> dict:
+    return {format_series(name, labels): value
+            for name, series in sorted(series_by_name.items())
+            for labels, value in sorted(series)}

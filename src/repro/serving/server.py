@@ -35,9 +35,13 @@ request becomes a ``server.request`` span whose children cover executor
 queue wait, service work, worker-pool dispatch and per-chunk generation.
 
 Tables come back as ``{"columns": [...], "rows": [{col: value}, ...]}``;
-databases as ``{"tables": {name: table}}``.  The ``/stats`` payload embeds
-:meth:`SynthesisService.stats` unchanged (same schema as in-process) plus
-a ``server`` section with accept/reject counters and queue watermarks.
+databases as ``{"tables": {name: table}}``.  The server counts into the
+service's :class:`~repro.serving.metrics.MetricsRegistry`, the one metrics
+store, and ``/stats`` and ``/metrics`` are its two renderings: ``/stats``
+embeds :meth:`SynthesisService.stats` unchanged plus a ``server`` section
+(accept/reject counts, queue watermarks) read from the same snapshot.
+``http_requests_total`` labels only known routes — any other path counts
+as ``path="other"`` — so clients cannot grow the registry without bound.
 
 ``"stream": true`` turns the ``/sample_table`` response into a chunked
 transfer of newline-delimited JSON: one ``{"columns", "rows"}`` object per
@@ -92,6 +96,16 @@ _MAX_BODY_BYTES = 64 * 2**20
 #: becomes the trace id so client ids stitch into the trace tree directly.
 _REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 _TRACE_ID_RE = re.compile(r"^[0-9a-f]{16}$")
+
+#: The ``path`` label values of ``http_requests_total``; anything else is
+#: counted as ``"other"``.
+_ROUTES = frozenset({"/sample_table", "/sample_rows", "/sample_database", "/stats",
+                     "/metrics", "/trace", "/healthz", "/readyz"})
+
+#: The ``/stats`` ``server`` keys in order; each reads series ``server_<key>``.
+_SERVER_STATS = ("accepted", "rejected", "http_errors", "queue_high_water",
+                 "malformed_requests", "deadline_errors", "in_flight", "draining",
+                 "max_queue")
 
 
 class IncompleteStream(RuntimeError):
@@ -151,9 +165,13 @@ class SynthesisServer:
         self._lock = threading.Lock()
         self._in_flight = 0
         self._draining = False
-        self._counters = {"accepted": 0, "rejected": 0, "http_errors": 0,
-                          "queue_high_water": 0, "malformed_requests": 0,
-                          "deadline_errors": 0}
+        self._metrics = service.metrics
+        for key in ("accepted", "rejected", "http_errors", "malformed_requests",
+                    "deadline_errors"):
+            self._metrics.counter("server_" + key)
+        for key, value in (("queue_high_water", 0), ("in_flight", 0), ("draining", 0),
+                           ("max_queue", max_queue)):
+            self._metrics.gauge("server_" + key).set(value)
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -175,26 +193,36 @@ class SynthesisServer:
 
     # -- admission control and drain ---------------------------------------------------
 
+    def _count(self, key: str) -> None:
+        self._metrics.counter("server_" + key).increment()
+
     def _admit(self) -> bool:
         with self._lock:
             if self._in_flight >= self.max_queue:
-                self._counters["rejected"] += 1
+                self._count("rejected")
                 return False
             self._in_flight += 1
-            self._counters["accepted"] += 1
-            if self._in_flight > self._counters["queue_high_water"]:
-                self._counters["queue_high_water"] = self._in_flight
+            self._count("accepted")
+            self._metrics.gauge("server_in_flight").set(self._in_flight)
+            self._metrics.gauge("server_queue_high_water").set_max(self._in_flight)
             return True
 
     def _release(self) -> None:
         with self._lock:
             self._in_flight -= 1
+            self._metrics.gauge("server_in_flight").set(self._in_flight)
+
+    def _queue_full(self):
+        """The 429 answer to a request :meth:`_admit` turned away."""
+        return 429, {"error": "request queue is full", "max_queue": self.max_queue,
+                     "rejected_total": self._metrics.counter("server_rejected").value}
 
     def begin_drain(self) -> None:
         """Stop admitting sampling work (503 + ``Retry-After``); GET
         endpoints keep answering so orchestrators can watch the drain."""
         with self._lock:
             self._draining = True
+            self._metrics.gauge("server_draining").set(1)
 
     @property
     def draining(self) -> bool:
@@ -215,19 +243,17 @@ class SynthesisServer:
             await asyncio.sleep(0.05)
 
     def _drain_response(self):
-        with self._lock:
-            self._counters["rejected"] += 1
+        self._count("rejected")
         return 503, {"error": "server is draining; no new work accepted",
                      "retry_after_s": RETRY_AFTER_S}, {"Retry-After": str(RETRY_AFTER_S)}
 
     def stats(self) -> dict:
-        """The ``/stats`` payload: service stats plus the server section."""
+        """The ``/stats`` payload: service stats plus the server section,
+        read from the same registry snapshot."""
         out = self.service.stats()
-        with self._lock:
-            server = dict(self._counters)
-            server["in_flight"] = self._in_flight
-            server["draining"] = self._draining
-        server["max_queue"] = self.max_queue
+        values = {**out["counters"], **out["gauges"]}
+        server = {key: values["server_" + key] for key in _SERVER_STATS}
+        server["draining"] = bool(server["draining"])
         out["server"] = server
         return out
 
@@ -240,8 +266,7 @@ class SynthesisServer:
                 try:
                     request = await self._read_request(reader)
                 except _BadRequest as error:
-                    with self._lock:
-                        self._counters["malformed_requests"] += 1
+                    self._count("malformed_requests")
                     access_log("-", "-", 400, "-", 0.0, error=error.reason)
                     await self._respond(writer, 400,
                                         {"error": "malformed request: {}".format(error.reason)},
@@ -273,8 +298,9 @@ class SynthesisServer:
                     sp.set_attr("status", status)
                 duration_ms = (time.perf_counter() - started) * 1000.0
                 access_log(method, path, status, request_id, duration_ms)
-                self.service.metrics.counter("http_requests_total", path=path,
-                                             status=str(status)).increment()
+                self._metrics.counter("http_requests_total",
+                                      path=path if path in _ROUTES else "other",
+                                      status=str(status)).increment()
                 if not keep_alive:
                     break
         except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
@@ -374,10 +400,6 @@ class SynthesisServer:
             return request
         return None
 
-    def _count(self, counter: str) -> None:
-        with self._lock:
-            self._counters[counter] += 1
-
     @staticmethod
     def _parse_timeout(request: dict) -> float | None:
         """The request's ``timeout_s`` as a positive float (``ValueError`` else)."""
@@ -410,14 +432,10 @@ class SynthesisServer:
         try:
             timeout_s = self._parse_timeout(request)
         except ValueError as error:
-            self._count_http_error()
+            self._count("http_errors")
             return await reply(400, {"error": str(error)})
         if not self._admit():
-            with self._lock:
-                rejected = self._counters["rejected"]
-            return await reply(429, {
-                "error": "request queue is full",
-                "max_queue": self.max_queue, "rejected_total": rejected})
+            return await reply(*self._queue_full())
         loop = asyncio.get_running_loop()
         try:
             try:
@@ -436,14 +454,14 @@ class SynthesisServer:
                 self._count("deadline_errors")
                 return await reply(503, {"error": str(error), "type": "deadline"})
             except PoolDegraded as error:
-                self._count_http_error()
+                self._count("http_errors")
                 return await reply(503, {"error": str(error), "type": "degraded"},
                                    {"Retry-After": str(RETRY_AFTER_S)})
             except (ServingError, ValueError, TypeError) as error:
-                self._count_http_error()
+                self._count("http_errors")
                 return await reply(400, {"error": str(error)})
             except Exception as error:  # a bug, not a bad request — keep serving
-                self._count_http_error()
+                self._count("http_errors")
                 return await reply(500, {
                     "error": "{}: {}".format(type(error).__name__, error)})
             head = ("HTTP/1.1 200 OK\r\n"
@@ -475,14 +493,11 @@ class SynthesisServer:
             except (ConnectionError, OSError):
                 return False, 200
             except Exception:  # mid-stream failure: the 200 is already out,
-                self._count_http_error()  # so drop the connection short of its
-                return False, 200         # terminating chunk — unambiguous to clients
+                self._count("http_errors")  # so drop the connection short of
+                return False, 200  # its terminating chunk — unambiguous to clients
             return True, 200
         finally:
             self._release()
-
-    def _count_http_error(self) -> None:
-        self._count("http_errors")
 
     async def _dispatch(self, method: str, path: str, body: bytes):
         if path == "/healthz":
@@ -507,8 +522,8 @@ class SynthesisServer:
         if path == "/metrics":
             if method != "GET":
                 return 405, {"error": "use GET"}
-            return 200, prometheus_text(self.service.metrics,
-                                        extra_stats=self.stats())
+            self.service.refresh_gauges()
+            return 200, prometheus_text(self._metrics)
         if path == "/trace":
             if method != "GET":
                 return 405, {"error": "use GET"}
@@ -535,10 +550,7 @@ class SynthesisServer:
         if self.draining:
             return self._drain_response()
         if not self._admit():
-            with self._lock:
-                rejected = self._counters["rejected"]
-            return 429, {"error": "request queue is full",
-                         "max_queue": self.max_queue, "rejected_total": rejected}
+            return self._queue_full()
         loop = asyncio.get_running_loop()
         try:
             # copy_context ships the request's trace context onto the executor
@@ -592,14 +604,14 @@ class SynthesisServer:
             self._count("deadline_errors")
             return 503, {"error": str(error), "type": "deadline"}
         except PoolDegraded as error:
-            self._count_http_error()
+            self._count("http_errors")
             return 503, {"error": str(error), "type": "degraded"}, \
                 {"Retry-After": str(RETRY_AFTER_S)}
         except (ServingError, ValueError, TypeError) as error:
-            self._count_http_error()
+            self._count("http_errors")
             return 400, {"error": str(error)}
         except Exception as error:  # a bug, not a bad request — keep serving
-            self._count_http_error()
+            self._count("http_errors")
             return 500, {"error": "{}: {}".format(type(error).__name__, error)}
 
 

@@ -54,7 +54,7 @@ from repro.llm.engine import _choose_indices, derive_seed
 from repro.obs import trace as obs
 from repro.pipelines.base import TABLE_BLOCK_STREAM, FittedPipeline, block_plan
 from repro.pipelines.multitable import FittedMultiTablePipeline
-from repro.serving.metrics import MetricsRegistry
+from repro.serving.metrics import MetricsRegistry, series_key
 from repro.store.tablefmt import decode_table, encode_table
 
 
@@ -76,6 +76,24 @@ class PoolDegraded(ServingError):
 #: tables exactly.
 _TABLE_STREAM = TABLE_BLOCK_STREAM
 _ROWS_STREAM = 13
+
+#: Each ``stats()`` count and the registry series it reads, in ``/stats``
+#: order, as ``key: (kind, series name, labels)``.  The service creates
+#: every series at zero, so ``/metrics`` lists them from the first scrape.
+_STATS_SERIES = {
+    "table_requests": ("counter", "requests_total", {"endpoint": "sample_table"}),
+    "row_requests": ("counter", "row_requests", {}),
+    "database_requests": ("counter", "requests_total", {"endpoint": "sample_database"}),
+    "coalesced_batches": ("counter", "coalesced_batches", {}),
+    "coalesced_requests_max": ("gauge", "coalesced_requests_max", {}),
+    "streamed_requests": ("counter", "requests_total", {"endpoint": "sample_table_stream"}),
+    "streamed_chunks": ("counter", "streamed_chunks", {}),
+    "streamed_rows": ("counter", "streamed_rows", {}),
+    "degraded_fallbacks": ("counter", "degraded_fallbacks", {}),
+    "cache_hits": ("counter", "cache_hits", {}),
+    "cache_misses": ("counter", "cache_misses", {}),
+    "cache_bytes_used": ("gauge", "cache_bytes_used", {}),
+}
 
 
 def process_peak_rss_bytes() -> int | None:
@@ -243,19 +261,13 @@ class LruCache:
         self._sizer = sizer
         self._entries: "OrderedDict" = OrderedDict()  # key -> (value, size)
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
         self.bytes_used = 0
 
     def get(self, key):
-        if self.capacity_bytes == 0:
-            return None
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self.hits += 1
                 return self._entries[key][0]
-            self.misses += 1
             return None
 
     def put(self, key, value) -> None:
@@ -272,6 +284,22 @@ class LruCache:
             while self.bytes_used > self.capacity_bytes:
                 _, (_, evicted) = self._entries.popitem(last=False)
                 self.bytes_used -= evicted
+
+
+def _process_pool(source, config: ServingConfig, digest: str):
+    """The worker pool *config* asks for over a bundle path or registry
+    source (``None`` for the inline executor)."""
+    if config.executor != "process":
+        return None
+    from repro.serving.workers import WorkerPool
+
+    return WorkerPool(source, workers=config.shards, mmap=config.mmap,
+                      block_size=config.block_size, expected_digest=digest,
+                      retries=config.retries, retry_backoff_s=config.retry_backoff_s,
+                      breaker_threshold=config.breaker_threshold,
+                      breaker_window_s=config.breaker_window_s,
+                      breaker_cooldown_s=config.breaker_cooldown_s,
+                      faults_spec=config.faults)
 
 
 @dataclass
@@ -295,8 +323,7 @@ class SynthesisService:
 
     def __init__(self, fitted: FittedPipeline | FittedMultiTablePipeline,
                  config: ServingConfig | None = None,
-                 digest: str | None = None,
-                 pool=None, metrics: MetricsRegistry | None = None):
+                 digest: str | None = None, pool=None):
         self.fitted = fitted
         self.config = config or ServingConfig()
         if self.config.executor == "process" and pool is None:
@@ -310,13 +337,11 @@ class SynthesisService:
         self.digest = digest or "unsaved-{:x}".format(id(fitted))
         #: the process worker pool when ``executor == "process"`` (else None)
         self.pool = pool
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: the one metrics store; a process service shares the pool's
+        self.metrics = pool.metrics if pool is not None else MetricsRegistry()
+        for kind, name, labels in _STATS_SERIES.values():
+            getattr(self.metrics, kind)(name, **labels)
         self._cache = LruCache(self.config.cache_bytes, sizer=packed_bytes)
-        self._stats_lock = threading.Lock()
-        self._stats = {"table_requests": 0, "row_requests": 0, "database_requests": 0,
-                       "coalesced_batches": 0, "coalesced_requests_max": 0,
-                       "streamed_requests": 0, "streamed_chunks": 0, "streamed_rows": 0,
-                       "degraded_fallbacks": 0}
         self._batch_lock = threading.Lock()
         self._pending: list[_PendingRequest] = []
         self._draining = False
@@ -344,20 +369,8 @@ class SynthesisService:
             fitted, digest = load_multitable_pipeline(path, mmap=config.mmap)
         else:
             fitted, digest = load_fitted_pipeline(path, mmap=config.mmap)
-        pool = None
-        metrics = MetricsRegistry()
-        if config.executor == "process":
-            from repro.serving.workers import WorkerPool
-
-            pool = WorkerPool(path, workers=config.shards, mmap=config.mmap,
-                              block_size=config.block_size, expected_digest=digest,
-                              retries=config.retries,
-                              retry_backoff_s=config.retry_backoff_s,
-                              breaker_threshold=config.breaker_threshold,
-                              breaker_window_s=config.breaker_window_s,
-                              breaker_cooldown_s=config.breaker_cooldown_s,
-                              faults_spec=config.faults, metrics=metrics)
-        return cls(fitted, config=config, digest=digest, pool=pool, metrics=metrics)
+        return cls(fitted, config=config, digest=digest,
+                   pool=_process_pool(path, config, digest))
 
     @classmethod
     def from_registry(cls, root, digest, config: ServingConfig | None = None) -> "SynthesisService":
@@ -385,21 +398,9 @@ class SynthesisService:
                 "artifact {} is a {!r}; serving needs a fitted pipeline".format(
                     resolved[:12], record["kind"]))
         fitted, digest = registry.load(resolved, mmap=config.mmap)
-        pool = None
-        metrics = MetricsRegistry()
-        if config.executor == "process":
-            from repro.serving.workers import WorkerPool
-
-            source = RegistrySource(str(registry.root), resolved)
-            pool = WorkerPool(source, workers=config.shards, mmap=config.mmap,
-                              block_size=config.block_size, expected_digest=digest,
-                              retries=config.retries,
-                              retry_backoff_s=config.retry_backoff_s,
-                              breaker_threshold=config.breaker_threshold,
-                              breaker_window_s=config.breaker_window_s,
-                              breaker_cooldown_s=config.breaker_cooldown_s,
-                              faults_spec=config.faults, metrics=metrics)
-        return cls(fitted, config=config, digest=digest, pool=pool, metrics=metrics)
+        source = RegistrySource(str(registry.root), resolved)
+        return cls(fitted, config=config, digest=digest,
+                   pool=_process_pool(source, config, digest))
 
     def close(self) -> None:
         """Release the process worker pool (no-op for the inline executor)."""
@@ -444,27 +445,38 @@ class SynthesisService:
             return self.sample_rows(n, conditions=conditions, seed=seed)
         return self.sample_table(n, seed=seed)
 
+    def refresh_gauges(self) -> None:
+        """Set the gauges sampled at read time rather than where they change:
+        the cache's byte use and this process's peak RSS.  :meth:`stats` and
+        ``GET /metrics`` call it before rendering the registry."""
+        self.metrics.gauge("cache_bytes_used").set(self._cache.bytes_used)
+        rss = process_peak_rss_bytes()
+        if rss is not None:
+            self.metrics.gauge("peak_rss_bytes").set(rss)
+
     def stats(self) -> dict:
         """Serving counters, cache hit/miss totals and per-endpoint latency.
 
-        ``latency`` maps each endpoint to the
-        :meth:`~repro.serving.metrics.LatencyHistogram.snapshot` schema
-        (``count``/``total_s``/``max_s`` plus cumulative bucket counts) —
-        the same shape the HTTP server reports under ``/stats``, so both
-        read paths share one decoder.
+        Every value is read from one snapshot of :attr:`metrics`, which
+        ``counters`` and ``gauges`` carry whole.  ``latency`` maps each
+        endpoint to the :meth:`~repro.serving.metrics.LatencyHistogram.snapshot`
+        schema (``count``/``total_s``/``max_s`` plus cumulative bucket
+        counts) — the same shape the HTTP server reports under ``/stats``,
+        so both read paths share one decoder.
         """
-        with self._stats_lock:
-            out = dict(self._stats)
-        out["cache_hits"] = self._cache.hits
-        out["cache_misses"] = self._cache.misses
-        out["cache_bytes_used"] = self._cache.bytes_used
+        self.refresh_gauges()
+        counters = self.metrics.counters_snapshot()
+        gauges = self.metrics.gauges_snapshot()
+        values = {**counters, **gauges}
+        out = {key: values[series_key(name, **labels)]
+               for key, (_, name, labels) in _STATS_SERIES.items()}
         out["executor"] = self.config.executor
         out["latency"] = self.metrics.snapshot()
-        out["counters"] = self.metrics.counters_snapshot()
-        out["gauges"] = self.metrics.gauges_snapshot()
-        out["peak_rss_bytes"] = process_peak_rss_bytes()
+        out["counters"] = counters
+        out["gauges"] = gauges
+        out["peak_rss_bytes"] = gauges.get("peak_rss_bytes")
         if self.pool is not None:
-            out["worker_restarts"] = self.pool.restarts
+            out["worker_restarts"] = counters["worker_restarts"]
             out["pool"] = self.pool.stats()
         return out
 
@@ -492,8 +504,12 @@ class SynthesisService:
         return False, info
 
     def _cached(self, key):
-        """The cached result for *key*, unpacked, or ``None``."""
+        """The cached result for *key*, unpacked, or ``None``; counts the hit
+        or miss when the cache is enabled."""
+        if not self.config.cache_bytes:
+            return None
         packed = self._cache.get(key)
+        self.metrics.counter("cache_misses" if packed is None else "cache_hits").increment()
         return None if packed is None else unpack_result(packed)
 
     def _remember(self, key, value) -> None:
@@ -504,8 +520,7 @@ class SynthesisService:
         """Count a pool-degraded fallback, or re-raise in fail-fast mode."""
         if self.config.degraded_mode != "serial":
             raise error
-        with self._stats_lock:
-            self._stats["degraded_fallbacks"] += 1
+        self.metrics.counter("degraded_fallbacks").increment()
 
     def _resolve_timeout(self, timeout_s: float | None) -> float | None:
         timeout_s = self.config.timeout_s if timeout_s is None else timeout_s
@@ -528,8 +543,6 @@ class SynthesisService:
         self._require_multitable()
         seed = self.fitted.config.seed if seed is None else seed
         timeout_s = self._resolve_timeout(timeout_s)
-        with self._stats_lock:
-            self._stats["database_requests"] += 1
         self.metrics.counter("requests_total", endpoint="sample_database").increment()
         with self.metrics.histogram("sample_database").time(), \
                 obs.span("service.sample_database", attrs={"seed": seed}) as sp:
@@ -576,8 +589,6 @@ class SynthesisService:
         n = self.fitted._resolve_n(n)
         seed = self.fitted.config.seed if seed is None else seed
         timeout_s = self._resolve_timeout(timeout_s)
-        with self._stats_lock:
-            self._stats["table_requests"] += 1
         self.metrics.counter("requests_total", endpoint="sample_table").increment()
         with self.metrics.histogram("sample_table").time(), \
                 obs.span("service.sample_table", attrs={"n": n, "seed": seed}) as sp:
@@ -623,8 +634,6 @@ class SynthesisService:
         seed = self.fitted.config.seed if seed is None else seed
         timeout_s = self._resolve_timeout(timeout_s)
         blocks = self._blocks(n, seed)
-        with self._stats_lock:
-            self._stats["streamed_requests"] += 1
         self.metrics.counter("requests_total", endpoint="sample_table_stream").increment()
         # generator steps may run on other threads; pin the parent explicitly
         parent_ctx = obs.current_context()
@@ -641,9 +650,8 @@ class SynthesisService:
                             part = self.fitted.sample_block(*block)
                     else:
                         part = self.fitted.sample_block(*block)
-                with self._stats_lock:
-                    self._stats["streamed_chunks"] += 1
-                    self._stats["streamed_rows"] += part.num_rows
+                self.metrics.counter("streamed_chunks").increment()
+                self.metrics.counter("streamed_rows").increment(part.num_rows)
                 yield part
         return chunks()
 
@@ -759,11 +767,9 @@ class SynthesisService:
         """
         if not requests:
             return []
-        with self._stats_lock:
-            self._stats["row_requests"] += len(requests)
-            self._stats["coalesced_batches"] += 1
-            self._stats["coalesced_requests_max"] = max(
-                self._stats["coalesced_requests_max"], len(requests))
+        self.metrics.counter("row_requests").increment(len(requests))
+        self.metrics.counter("coalesced_batches").increment()
+        self.metrics.gauge("coalesced_requests_max").set_max(len(requests))
         if self.pool is not None:
             # the whole coalesced batch goes to ONE worker so it still runs
             # as a single merged engine pass per column

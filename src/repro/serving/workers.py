@@ -51,7 +51,7 @@ from queue import Empty
 
 from repro import faults
 from repro.obs import trace as obs_trace
-from repro.serving.metrics import Counter
+from repro.serving.metrics import MetricsRegistry, series_key
 from repro.serving.service import (DeadlineExceeded, PoolDegraded, RowRequest,
                                    ServingConfig, ServingError, SynthesisService,
                                    process_peak_rss_bytes)
@@ -223,7 +223,8 @@ class WorkerPool:
     Tasks are dispatched round-robin onto per-worker queues; a collector
     thread resolves results and a monitor thread watches process sentinels
     and task deadlines so a crashed or wedged worker costs at most one
-    retry round, not the request.
+    retry round, not the request.  :attr:`metrics` is the registry it
+    counts into — the one given, or its own.
     """
 
     def __init__(self, bundle_path, workers: int = 1, mmap: bool = False,
@@ -256,12 +257,17 @@ class WorkerPool:
         self.breaker_window_s = breaker_window_s
         self.breaker_cooldown_s = breaker_cooldown_s
         self.faults_spec = faults_spec
-        self._metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        for name, value in (("pool_workers", workers), ("pool_retries", retries),
+                            ("pool_breaker_threshold", breaker_threshold),
+                            ("pool_dead_workers", 0)):
+            self.metrics.gauge(name).set(value)
+        for name in ("worker_restarts", "pool_retries_exhausted", "pool_deadline_kills"):
+            self.metrics.counter(name)
         # decided once at construction: workers are told whether to buffer
         # spans when they are spawned, so flipping the global tracer later
         # does not desynchronize parent and children
         self._trace = obs_trace.enabled() if trace is None else bool(trace)
-        self._worker_rss: dict[int, int] = {}
         methods = multiprocessing.get_all_start_methods()
         if start_method is None:
             start_method = "fork" if "fork" in methods else methods[0]
@@ -275,23 +281,18 @@ class WorkerPool:
         self._dispatch_seq = 0
         self._closing = False
         self.digest: str | None = None
-        self._restarts = Counter()
-        self._tasks_retried = Counter()
-        self._retries_exhausted = Counter()
-        self._deadline_kills = Counter()
-        self._breaker_trips = Counter()
         self._deaths: deque = deque()          # monotonic timestamps in the window
         self._dead: set[int] = set()           # indices awaiting respawn (breaker open)
         self._breaker_state = "closed"
         self._breaker_opened_at = 0.0
+        self._collector = threading.Thread(target=self._collect, daemon=True,
+                                           name="workerpool-collector")
+        self._monitor = threading.Thread(target=self._watch, daemon=True,
+                                         name="workerpool-monitor")
 
         self._processes = [self._spawn(index) for index in range(workers)]
         self._await_ready(range(workers), expected_digest)
-        self._collector = threading.Thread(target=self._collect, daemon=True,
-                                           name="workerpool-collector")
         self._collector.start()
-        self._monitor = threading.Thread(target=self._watch, daemon=True,
-                                         name="workerpool-monitor")
         self._monitor.start()
 
     # -- lifecycle ---------------------------------------------------------------------
@@ -335,7 +336,8 @@ class WorkerPool:
             pending.discard(worker_index)
 
     def close(self) -> None:
-        """Stop every worker and fail whatever is still in flight."""
+        """Stop every worker, fail whatever is still in flight, and join the
+        collector and monitor threads so neither outlives the pool's queues."""
         with self._lock:
             if self._closing:
                 return
@@ -356,6 +358,9 @@ class WorkerPool:
                 process.terminate()
                 process.join(timeout=_JOIN_TIMEOUT_S)
         self._results.put(None)
+        for thread in (self._collector, self._monitor):
+            if thread.is_alive():  # never started when the cold start failed
+                thread.join(timeout=_JOIN_TIMEOUT_S)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -367,7 +372,7 @@ class WorkerPool:
 
     @property
     def restarts(self) -> int:
-        return self._restarts.value
+        return self.metrics.counter("worker_restarts").value
 
     @property
     def degraded(self) -> bool:
@@ -381,25 +386,29 @@ class WorkerPool:
             return self._breaker_state
 
     def stats(self) -> dict:
-        with self._lock:
-            state = self._breaker_state
-            dead = len(self._dead)
-            worker_rss = dict(self._worker_rss)
+        """The pool's ``/stats`` section, read from one registry snapshot
+        (the breaker state is live control state, not a metric)."""
+        counters = self.metrics.counters_snapshot()
+        gauges = self.metrics.gauges_snapshot()
+        workers = range(self.workers)
+        # per-worker peak RSS piggybacked on the result pipe; string keys
+        # so the dict survives the JSON trip through /stats unchanged
+        worker_rss = {str(index): gauges[key] for index in workers
+                      if (key := series_key("pool_worker_peak_rss_bytes", worker=index)) in gauges}
         return {
-            "workers": self.workers,
-            "retries": self.retries,
-            "restarts": self._restarts.value,
-            "tasks_retried": self._tasks_retried.value,
-            "retries_exhausted": self._retries_exhausted.value,
-            "deadline_kills": self._deadline_kills.value,
-            "breaker_state": state,
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_trips": self._breaker_trips.value,
-            "dead_workers": dead,
-            # per-worker peak RSS piggybacked on the result pipe; string keys
-            # so the dict survives the JSON trip through /stats unchanged
-            "worker_peak_rss_bytes": {str(index): rss
-                                      for index, rss in sorted(worker_rss.items())},
+            "workers": gauges["pool_workers"],
+            "retries": gauges["pool_retries"],
+            "restarts": counters["worker_restarts"],
+            "tasks_retried": sum(counters.get(series_key("tasks_retried_total", worker=index), 0)
+                                 for index in workers),
+            "retries_exhausted": counters["pool_retries_exhausted"],
+            "deadline_kills": counters["pool_deadline_kills"],
+            "breaker_state": self.breaker_state,
+            "breaker_threshold": gauges["pool_breaker_threshold"],
+            "breaker_trips": counters.get(
+                series_key("breaker_transitions_total", state="open"), 0),
+            "dead_workers": gauges["pool_dead_workers"],
+            "worker_peak_rss_bytes": worker_rss,
             "max_worker_peak_rss_bytes": max(worker_rss.values(), default=0),
         }
 
@@ -451,9 +460,7 @@ class WorkerPool:
             self._tasks.pop(task.task_id, None)
 
     def _count(self, name: str, amount: int = 1, **labels) -> None:
-        """Bump a labeled counter when the pool was handed a registry."""
-        if self._metrics is not None:
-            self._metrics.counter(name, **labels).increment(amount)
+        self.metrics.counter(name, **labels).increment(amount)
 
     def _absorb_meta(self, worker_index, meta) -> None:
         """Fold one result's sideband into pool-level observability state."""
@@ -461,9 +468,7 @@ class WorkerPool:
             return
         rss = meta.get("rss")
         if rss:
-            with self._lock:
-                if rss > self._worker_rss.get(worker_index, 0):
-                    self._worker_rss[worker_index] = rss
+            self.metrics.gauge("pool_worker_peak_rss_bytes", worker=worker_index).set_max(rss)
         spans = meta.get("spans")
         if spans:
             for record in spans:
@@ -555,7 +560,7 @@ class WorkerPool:
                         events=[{"name": "deadline_exceeded", "t_us": now_us}])
                 task.event.set()
             for index in kill:
-                self._deadline_kills.increment()
+                self._count("pool_deadline_kills")
                 process = self._processes[index]
                 if process.is_alive():
                     process.kill()
@@ -583,7 +588,8 @@ class WorkerPool:
             if self._closing:
                 return
             self._dead.discard(index)
-            self._restarts.increment()
+            self.metrics.gauge("pool_dead_workers").set(len(self._dead))
+            self._count("worker_restarts")
             self._processes[index] = self._spawn(index)
 
     def _drain_queue(self, index: int) -> None:
@@ -604,6 +610,8 @@ class WorkerPool:
 
     def _handle_death(self, index: int) -> None:
         """Apply the failure policy for one dead worker."""
+        if self._closing:
+            return  # close() stopped it; returning promptly lets close() join us
         process = self._processes[index]
         process.join(timeout=_JOIN_TIMEOUT_S)
         # give the collector a beat to drain "done" messages the worker
@@ -617,6 +625,7 @@ class WorkerPool:
             if index in self._dead:
                 return
             self._dead.add(index)
+            self.metrics.gauge("pool_dead_workers").set(len(self._dead))
             now = time.monotonic()
             self._deaths.append(now)
             while self._deaths and now - self._deaths[0] > self.breaker_window_s:
@@ -630,7 +639,6 @@ class WorkerPool:
             if tripped:
                 self._breaker_state = "open"
                 self._breaker_opened_at = now
-                self._breaker_trips.increment()
             deaths_in_window = len(self._deaths)
             breaker_open = self._breaker_state == "open"
             orphans = [task for task in self._tasks.values()
@@ -674,7 +682,7 @@ class WorkerPool:
                     "worker {} died (exit code {}) while serving {}{}".format(
                         index, process.exitcode, task.method, suffix))
                 if task.attempts > 1:
-                    self._retries_exhausted.increment()
+                    self._count("pool_retries_exhausted")
             task.event.set()
         if not breaker_open:
             self._respawn(index)
@@ -691,10 +699,10 @@ class WorkerPool:
                     requeue = False
                 else:
                     requeue = True
+                    task.worker_index = self._pick_worker_locked()
                     if task is charged:
                         task.attempts += 1
-                        self._tasks_retried.increment()
-                    task.worker_index = self._pick_worker_locked()
+                        self._count("tasks_retried_total", worker=task.worker_index)
                     task.dispatch_seq = self._dispatch_seq
                     self._dispatch_seq += 1
                     if task.trace_ctx is not None:
@@ -706,13 +714,11 @@ class WorkerPool:
                     self._tasks[task.task_id] = task
                     self._task_queues[task.worker_index].put(
                         (task.task_id, task.method, task.payload, task.trace_ctx))
-            if requeue and task is charged:
-                self._count("tasks_retried_total", worker=str(task.worker_index))
-                if task.trace_ctx is not None:
-                    obs_trace.emit_span(
-                        "pool.retry", task.trace_ctx[:2], task.trace_ctx[2], 0,
-                        attrs={"attempt": task.attempts, "method": task.method,
-                               "worker": task.worker_index})
+            if requeue and task is charged and task.trace_ctx is not None:
+                obs_trace.emit_span(
+                    "pool.retry", task.trace_ctx[:2], task.trace_ctx[2], 0,
+                    attrs={"attempt": task.attempts, "method": task.method,
+                           "worker": task.worker_index})
             if not requeue:
                 task.error = PoolDegraded(
                     "worker pool degraded before task {!r} could be retried".format(

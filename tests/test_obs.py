@@ -47,6 +47,7 @@ from repro.serving import (
     SynthesisService,
     WorkerPool,
 )
+from repro.serving.server import _ROUTES
 from repro.serving.service import DeadlineExceeded
 
 
@@ -245,20 +246,22 @@ class TestMetricsRegistry:
     def test_prometheus_text_rendering(self):
         registry = MetricsRegistry()
         registry.counter("requests_total", endpoint="sample_table").increment(3)
+        registry.counter("server_accepted").increment(5)
         registry.gauge("in_flight").set(2)
+        registry.gauge("rss_bytes", worker=0).set_max(4096)
         with registry.histogram("sample_table").time():
             pass
-        text = prometheus_text(registry, extra_stats={
-            "server": {"accepted": 5, "draining": False}, "latency": {"x": 1}})
+        text = prometheus_text(registry)
         assert "# TYPE repro_requests_total counter" in text
         assert 'repro_requests_total{endpoint="sample_table"} 3' in text
+        assert "# TYPE repro_server_accepted counter" in text
+        assert "repro_server_accepted 5" in text
         assert "# TYPE repro_in_flight gauge" in text
+        assert "repro_in_flight 2" in text  # integer gauges render as integers
+        assert 'repro_rss_bytes{worker="0"} 4096' in text
         assert "# TYPE repro_latency_seconds histogram" in text
         assert 'repro_latency_seconds_bucket{endpoint="sample_table",le="+Inf"} 1' in text
         assert 'repro_latency_seconds_count{endpoint="sample_table"} 1' in text
-        assert "repro_server_accepted 5" in text
-        assert "repro_server_draining 0" in text
-        assert "repro_latency_x" not in text  # histograms ride the native series
         assert text.endswith("\n")
         assert CONTENT_TYPE.startswith("text/plain")
 
@@ -450,6 +453,62 @@ class TestHttpSurface:
         assert 'repro_requests_total{endpoint="sample_table"} 1' in text
         assert 'repro_http_requests_total{path="/sample_table",status="200"} 1' in text
         assert "repro_server_accepted" in text
+
+    def test_metrics_families_are_typed_once_with_worker_labels(self, bundle):
+        """``/metrics`` of a 2-worker process server renders the registry
+        alone: one ``# TYPE`` per family, counts typed ``counter``, per-worker
+        RSS under a ``worker`` label, and no series duplicating another."""
+        with SynthesisService.from_bundle(bundle, ServingConfig(
+                shards=2, block_size=2, executor="process")) as service:
+            with _RunningServer(service) as server:
+                _http(server.port, "POST", "/sample_table", {"n": 4, "seed": 1})
+                _http(server.port, "POST", "/sample_table", {"n": 4, "seed": 1})
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", server.port, timeout=60)
+                try:
+                    connection.request("GET", "/metrics")
+                    text = connection.getresponse().read().decode("utf-8")
+                finally:
+                    connection.close()
+        types = [line.split()[2:] for line in text.splitlines()
+                 if line.startswith("# TYPE")]
+        families = [family for family, _ in types]
+        assert len(families) == len(set(families))
+        kinds = dict(types)
+        assert kinds["repro_server_rejected"] == "counter"
+        assert kinds["repro_requests_total"] == "counter"
+        assert kinds["repro_cache_hits"] == "counter"
+        assert 'repro_requests_total{endpoint="sample_table"} 2' in text
+        assert 'repro_pool_worker_peak_rss_bytes{worker="0"}' in text
+        assert 'repro_pool_worker_peak_rss_bytes{worker="1"}' in text
+        for removed in ("repro_table_requests", "repro_pool_restarts",
+                        "repro_pool_worker_peak_rss_bytes_0"):
+            assert removed not in families
+
+    def test_unknown_paths_share_one_label(self, bundle):
+        """Client-chosen paths must not mint registry series: every path
+        outside the route table is counted as ``path="other"``."""
+        with SynthesisService.from_bundle(bundle, ServingConfig(
+                cache_bytes=0)) as service:
+            with _RunningServer(service) as server:
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", server.port, timeout=60)
+                try:
+                    for index in range(500):
+                        connection.request("GET", "/probe-{}".format(index))
+                        response = connection.getresponse()
+                        response.read()
+                        assert response.status == 404
+                finally:
+                    connection.close()
+                status, _, _ = _http(server.port, "GET", "/stats")
+            series = service.metrics.counter_series()["http_requests_total"]
+        assert status == 200
+        paths = {dict(labels)["path"] for labels, _ in series}
+        assert len(series) <= len(_ROUTES) + 1
+        assert paths <= set(_ROUTES) | {"other"}
+        assert sum(value for labels, value in series
+                   if dict(labels)["path"] == "other") == 500
 
     def test_trace_endpoint_requires_ring(self, bundle):
         with SynthesisService.from_bundle(bundle, ServingConfig(

@@ -201,6 +201,17 @@ class TestWorkerCrash:
         with pytest.raises(ServingError):
             service.pool.submit("ping", None)
 
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_close_joins_the_collector_and_monitor(self, bundle):
+        """A closed pool leaves no thread reading its queues: a collector
+        still blocked in ``Queue.get`` at teardown reads a closed connection
+        and dies with ``TypeError``."""
+        pool = WorkerPool(bundle, workers=2, block_size=4)
+        pool.sample_blocks([(0, 4, 1), (4, 4, 2)])
+        pool.close()
+        assert not pool._collector.is_alive()
+        assert not pool._monitor.is_alive()
+
 
 class TestHttpServer:
     def test_endpoints_and_identity(self, bundle):

@@ -7,10 +7,10 @@ bundle files:
   has already seen must come back as a verified load instead of a retrain,
   with the cached pipeline's samples **bit-identical** (columnar
   fingerprints compared) to the fresh fit's.  It runs once per engine:
-  ``object`` fits through the object-trainer fallback and samples the fresh
+  ``object`` fits through the object-trainer oracle and samples the fresh
   fit through the object oracle backbone, ``compiled`` is the runtime path.
   The speedup gate is engine-aware: the ``object`` trainer — the reference
-  implementation, and the slow fallback whose retrain is the expensive
+  implementation, and the slow trainer whose retrain is the expensive
   case a cache exists for — must hit at least ``--cache-hit-margin`` times
   faster (default 10x); the ``compiled`` trainer trains in fractions of a
   second at benchmark sizes, so its win is gated at the smaller

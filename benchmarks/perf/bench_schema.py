@@ -8,7 +8,7 @@ customers with a secondary store key, plus a standalone stores table):
   with a hard assertion that the known ground-truth graph is recovered;
 * **fit / sample throughput** — whole-database fitting and sampling per
   engine, reporting rows/s: ``object`` fits through the object-trainer
-  fallback and samples through the object oracle backbone, ``compiled`` is
+  oracle and samples through the object oracle backbone, ``compiled`` is
   the runtime path;
 * **persistence identity** — fit -> save -> load -> ``sample_database``
   asserted byte-identical (CSV bytes, per table) to the pre-save sample,

@@ -3,12 +3,20 @@
 Runs the training hot path — corpus encode, n-gram count accumulation,
 per-epoch validation scoring, CSR compile — twice: once through the legacy
 object trainer (per-sentence tokenisation + dict updates + object scoring;
-at runtime only an unpackable vocabulary selects it, here the bench forces
-that fallback), once through the compiled trainer (one-pass batch encode +
-array reduction + batched CSR scoring).  Asserts that both produce **bit-identical results**
+the oracle of ``benchmarks.perf.oracle``, never run by the program), once
+through the compiled trainer (one-pass batch encode + array reduction +
+batched CSR scoring).  Asserts that both produce **bit-identical results**
 (vocabulary ids, perplexity traces, frozen count arrays, and — for the
 end-to-end path — identical synthetic tables for identical seeds), and
 records the timings to ``BENCH_training.json``.
+
+``wide_vocab`` repeats the count check on a table with a high-cardinality
+column, whose vocabulary is above the 1,290 tokens where order-6 n-grams
+stopped packing into one int64 key (it runs in ``--smoke`` too).  The full
+run also fits the GReaTER pipeline on 2,048 DIGIX-like users with the
+compiled trainer and requires it to finish within 60 s: before
+suffix-rank keys, 1,536 users fell back to the object trainer and took
+236.8 s on a 2-vCPU box.
 
 Usage::
 
@@ -27,22 +35,37 @@ import json
 import random
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+from repro.connecting.connector import ConnectorConfig
+from repro.datasets.digix import DigixConfig, generate_digix_like
+from repro.enhancement.enhancer import EnhancerConfig
 from repro.frame.table import Table
 from repro.great.synthesizer import GReaTConfig, GReaTSynthesizer
 from repro.llm.finetune import FineTuneConfig, FineTuner
 from repro.llm.ngram_model import ModelConfig
 from repro.llm.sampler import SamplerConfig
 from repro.llm.tokenizer import WordTokenizer
+from repro.pipelines.config import PipelineConfig
+from repro.pipelines.greater import GReaTERPipeline
 from repro.textenc.corpus import CorpusBuilder
 from repro.textenc.encoder import EncoderConfig, TextualEncoder
 
+from benchmarks.perf.env import environment
 from benchmarks.perf.oracle import ENGINES, trainer
 
 #: The benchmark counted toward the >=10x acceptance bar.
 TARGET_PATH = "fit_trace"
+
+#: Rows of the ``wide_vocab`` table: one distinct code per row puts the
+#: vocabulary above the old 1,290-token packing limit.
+WIDE_ROWS = 1_400
+
+#: The full run's compiled-only pipeline fit and its time bound.
+WIDE_FIT_USERS = 2_048
+WIDE_FIT_BOUND_S = 60.0
 
 _CITIES = ["austin", "boston", "denver", "seattle", "miami", "portland",
            "chicago", "phoenix", "atlanta", "nashville", "tucson", "omaha"]
@@ -64,15 +87,21 @@ def _training_table(n_rows: int, seed: int) -> Table:
     })
 
 
+def _wide_table(seed: int) -> Table:
+    """:func:`_training_table` plus a high-cardinality ``code`` column."""
+    table = _training_table(WIDE_ROWS, seed)
+    return table.with_column("code", ["c{}".format(i) for i in range(WIDE_ROWS)])
+
+
 def _model_config() -> ModelConfig:
     return ModelConfig(order=6, smoothing=0.005,
                        interpolation=(0.42, 0.24, 0.14, 0.1, 0.06, 0.04))
 
 
-def _corpus(rows: int, seed: int) -> list[str]:
+def _corpus(table: Table, seed: int) -> list[str]:
     encoder = TextualEncoder(EncoderConfig(seed=seed))
     builder = CorpusBuilder(encoder=encoder, permutation_passes=2)
-    corpus, _ = builder.build(_training_table(rows, seed))
+    corpus, _ = builder.build(table)
     return corpus
 
 
@@ -82,7 +111,8 @@ def _compiled_fingerprint(model) -> list:
     out = []
     for k in range(1, compiled.order):
         out.append((k,
-                    compiled._keys[k].tolist(), compiled._row_ptr[k].tolist(),
+                    compiled._keys[k].tolist(), compiled._key_rows[k].tolist(),
+                    compiled._row_ptr[k].tolist(),
                     compiled._tokens[k].tolist(), compiled._counts[k].tolist(),
                     compiled._totals[k].tolist()))
     out.append((0, compiled._tokens0.tolist(), compiled._counts0.tolist(),
@@ -92,9 +122,9 @@ def _compiled_fingerprint(model) -> list:
 
 # -- benchmark bodies: each returns a timed callable -------------------------------------
 
-def bench_fit_trace(engine: str, rows: int, seed: int):
+def bench_fit_trace(engine: str, rows: int, seed: int, table: Table | None = None):
     """Fine-tune + per-epoch perplexity trace + CSR compile on the full corpus."""
-    corpus = _corpus(rows, seed)
+    corpus = _corpus(_training_table(rows, seed) if table is None else table, seed)
     config = FineTuneConfig(epochs=3, batches=3, validation_fraction=0.1,
                             seed=seed, model=_model_config())
 
@@ -110,9 +140,15 @@ def bench_fit_trace(engine: str, rows: int, seed: int):
             "engine": result.engine,
             "n_contexts": int(sum(compiled._keys[k].size
                                   for k in range(1, compiled.order))),
+            "vocab_size": compiled.vocab_size,
         }
 
     return body
+
+
+def bench_wide_vocab(engine: str, rows: int, seed: int):
+    """:func:`bench_fit_trace` on :func:`_wide_table` (fixed size)."""
+    return bench_fit_trace(engine, rows, seed, table=_wide_table(seed))
 
 
 def bench_encode(engine: str, rows: int, seed: int):
@@ -163,15 +199,51 @@ def bench_fit_sample(engine: str, rows: int, seed: int):
     return body
 
 
+def wide_fit(seed: int) -> dict:
+    """Fit the GReaTER pipeline on ``WIDE_FIT_USERS`` DIGIX-like users.
+
+    The dataset and pipeline are built the way perfbench's ``fit_registry``
+    builds its 512-user fit; only the compiled trainer runs.
+    """
+    trial = generate_digix_like(DigixConfig(
+        n_tasks=1, n_users_per_task=WIDE_FIT_USERS, ads_rows_per_user=(2, 4),
+        feeds_rows_per_user=(2, 4), seed=seed)).trials()[0]
+    pipeline = GReaTERPipeline(PipelineConfig(
+        seed=seed, drop_columns=("task_id",),
+        enhancer=EnhancerConfig(semantic_level="understandability", seed=seed),
+        connector=ConnectorConfig(remove_noisy_columns=False)))
+    results = []
+    fine_tune = FineTuner.fine_tune
+
+    def recording(tuner, corpus):
+        results.append(fine_tune(tuner, corpus))
+        return results[-1]
+
+    with mock.patch.object(FineTuner, "fine_tune", recording):
+        start = time.perf_counter()
+        pipeline.fit(trial.ads, trial.feeds)
+        fit_s = time.perf_counter() - start
+    return {
+        "users": WIDE_FIT_USERS,
+        "fit_s": round(fit_s, 3),
+        "bound_s": WIDE_FIT_BOUND_S,
+        "engines": sorted({result.engine for result in results}),
+        "vocab_sizes": [len(result.model.tokenizer.vocabulary) for result in results],
+        "within_bound": fit_s <= WIDE_FIT_BOUND_S,
+    }
+
+
 BENCHMARKS = [
     ("fit_trace", bench_fit_trace),
+    ("wide_vocab", bench_wide_vocab),
     ("encode", bench_encode),
     ("fit_sample", bench_fit_sample),
 ]
 
 
-def run(rows: int, seed: int = 7, repeats: int = 1) -> dict:
-    """Run every benchmark on both trainers and return the report dict."""
+def run(rows: int, seed: int = 7, repeats: int = 1, full: bool = True) -> dict:
+    """Run every benchmark on both trainers and return the report dict
+    (with the compiled-only :func:`wide_fit` when *full*)."""
     results: dict[str, dict] = {}
     outputs: dict[str, dict] = {engine: {} for engine in ENGINES}
     timings: dict[str, dict] = {engine: {} for engine in ENGINES}
@@ -189,7 +261,7 @@ def run(rows: int, seed: int = 7, repeats: int = 1) -> dict:
     for name, _ in BENCHMARKS:
         object_out = outputs["object"][name]
         compiled_out = outputs["compiled"][name]
-        if name == "fit_trace":
+        if name in ("fit_trace", "wide_vocab"):
             # the engine label differs by construction; everything else must not
             identical = ((object_out["engine"], compiled_out["engine"]) == ENGINES
                          and all(object_out[key] == compiled_out[key]
@@ -210,12 +282,15 @@ def run(rows: int, seed: int = 7, repeats: int = 1) -> dict:
         }
     results["fit_trace"]["n_contexts"] = outputs["compiled"]["fit_trace"]["n_contexts"]
     results["fit_trace"]["trace"] = outputs["compiled"]["fit_trace"]["trace"]
+    results["wide_vocab"]["vocab_size"] = outputs["compiled"]["wide_vocab"]["vocab_size"]
+    # the check only covers the old cliff when the vocabulary is past it
+    results["wide_vocab"]["identical_output"] &= results["wide_vocab"]["vocab_size"] > 1290
 
     return {
         "rows": rows,
         "seed": seed,
-        "numpy_version": np.__version__,
         "benchmarks": results,
+        "wide_fit": wide_fit(seed) if full else None,
         "all_identical": all(entry["identical_output"] for entry in results.values()),
         "target_path": TARGET_PATH,
         "meets_10x_target": results[TARGET_PATH]["speedup"] >= 10.0,
@@ -224,7 +299,7 @@ def run(rows: int, seed: int = 7, repeats: int = 1) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark the object fallback vs the compiled training engine."
+        description="Benchmark the object-trainer oracle vs the compiled training engine."
     )
     parser.add_argument("--rows", type=int, default=50_000,
                         help="training-table rows for the fit benchmarks (default 50000)")
@@ -238,12 +313,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     rows = 500 if args.smoke else args.rows
-    report = run(rows, seed=args.seed, repeats=args.repeats)
-    report["mode"] = "smoke" if args.smoke else "full"
+    mode = "smoke" if args.smoke else "full"
+    report = {"env": environment(mode),
+              **run(rows, seed=args.seed, repeats=args.repeats, full=not args.smoke)}
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     width = max(len(name) for name, _ in BENCHMARKS)
-    print(f"rows={rows}  (object fallback vs compiled training engine)")
+    print(f"rows={rows}  (object-trainer oracle vs compiled training engine)")
     for name, _ in BENCHMARKS:
         entry = report["benchmarks"][name]
         flag = "*" if name == TARGET_PATH else " "
@@ -251,6 +327,10 @@ def main(argv: list[str] | None = None) -> int:
             flag, name, entry["object_s"], entry["compiled_s"], entry["speedup"],
             entry["identical_output"], width=width,
         ))
+    fit = report["wide_fit"]
+    if fit is not None:
+        print("wide_fit  {} users, compiled {:.3f}s (bound {:.0f}s), vocabularies {}".format(
+            fit["users"], fit["fit_s"], fit["bound_s"], fit["vocab_sizes"]))
     print("wrote {}".format(args.out))
 
     if not report["all_identical"]:
@@ -258,6 +338,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if not args.smoke and not report["meets_10x_target"]:
         print("ERROR: the fit+trace path did not reach the 10x target")
+        return 1
+    if fit is not None and not (fit["within_bound"] and fit["engines"] == ["compiled"]):
+        print("ERROR: the {}-user fit took {}s (bound {}s) on trainers {}".format(
+            fit["users"], fit["fit_s"], fit["bound_s"], fit["engines"]))
         return 1
     return 0
 

@@ -2,12 +2,23 @@
 
 After :meth:`~repro.llm.ngram_model.NGramLanguageModel.fit` the nested
 ``dict[context] -> Counter`` tables are append-only no more: sampling only
-reads them.  :class:`CompiledNGramModel` freezes them into CSR-style NumPy
-arrays — one sorted context-key table per order, a flat token-id/count array
-sliced by a row-pointer array, and precomputed smoothing constants — so the
-per-token inner loop of generation becomes array lookups instead of nested
-dict walks, and whole batches of in-flight sequences can be advanced with a
+reads them.  :class:`CompiledNGramModel` holds them as CSR-style NumPy
+arrays — per order, a flat token-id/count array sliced by a row-pointer
+array over the contexts in lexicographic order, a sorted context-key index
+into those rows, and precomputed smoothing constants — so the per-token
+inner loop of generation becomes array lookups instead of nested dict
+walks, and whole batches of in-flight sequences can be advanced with a
 handful of vectorized operations.
+
+Context keys follow a reversed context trie (Pauls & Klein, "Faster and
+Smaller N-Gram Language Models", ACL 2011): a length-``k`` context
+``(c_0, ..., c_{k-1})`` is keyed ``position of (c_1, ..., c_{k-1}) among
+the sorted order-``k-1`` keys * vocab_size + c_0``.  A key is bounded by
+(distinct contexts) * vocab_size, so it fits int64 for any vocabulary, and
+:func:`walk_suffixes` finds every order's row of a window with one binary
+search per order, reusing the previous order's position.  The walk is exact
+because the counted contexts are closed under suffix: the (k-1)-suffix of a
+counted k-context is counted too, as the context of the same target.
 
 The mass semantics are exactly those of
 :meth:`~repro.llm.ngram_model.NGramLanguageModel.distribution_components`:
@@ -26,39 +37,50 @@ import numpy as np
 
 from repro.llm.ngram_model import NGramLanguageModel, interpolation_weights
 
-#: Keep packed context keys comfortably inside int64.
-_MAX_PACKED_KEY = 2 ** 62
 
+def walk_suffixes(keys: dict, contexts: np.ndarray,
+                  vocab_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Key position (and hit mask) of every suffix of each context row.
 
-def ngrams_packable(vocab_size: int, order: int) -> bool:
-    """Whether every *order*-token n-gram packs into one int64 key.
-
-    The array trainer and the bundle loader need this; when it fails they
-    take the dict path (the object trainer, the dict-table rebuild).
+    *contexts* is ``(n, width)``, right aligned; *keys* maps each order to
+    its sorted suffix-rank keys.  Entry ``k - 1`` of the result holds, for
+    the last ``k`` tokens of every row, the position in ``keys[k]`` and
+    whether the context is there; a row misses at ``k`` once it missed at
+    any lower order.
     """
-    return vocab_size >= 1 and max(vocab_size, 2) ** order < _MAX_PACKED_KEY
+    n, width = contexts.shape
+    positions = np.zeros(n, dtype=np.int64)
+    found = np.ones(n, dtype=bool)
+    walk = []
+    for k in range(1, width + 1):
+        table = keys[k]
+        if table.size == 0:
+            positions = np.zeros(n, dtype=np.int64)
+            found = np.zeros(n, dtype=bool)
+        else:
+            queries = positions * vocab_size + contexts[:, width - k]
+            positions = np.minimum(np.searchsorted(table, queries), table.size - 1)
+            found = found & (table[positions] == queries)
+        walk.append((positions, found))
+    return walk
 
 
 class CompiledNGramModel:
     """CSR-style frozen counts of a trained :class:`NGramLanguageModel`.
 
-    Contexts of length ``k`` are packed into a single int64 key
-    (most-significant token first, base ``vocab_size``) and looked up with a
-    binary search over the sorted key table; each hit yields a slice of the
-    flat ``(token_id, count)`` arrays via the row-pointer array.  When the
-    vocabulary is too large for packed keys the lookup falls back to a plain
-    tuple-keyed dict (correctness over speed; in practice the textual-encoded
-    corpora stay far below the packing limit).
+    Per order ``k``, ``_keys[k]`` holds the sorted suffix-rank context keys
+    and ``_key_rows[k]`` the CSR row of each; a hit yields a slice of the
+    flat ``(token_id, count)`` arrays via the row-pointer array.
     """
 
     def __init__(self, model: NGramLanguageModel):
+        from repro.llm.training import CorpusCounts  # training builds on this module
+
         if not model.is_trained:
             raise ValueError("can only compile a trained model")
         model._ensure_dict_tables()  # array-trained models materialise lazily
         self._init_header(model.tokenizer, model.config, model)
-        for k in range(1, self.order):
-            self._freeze_order(k)
-        self._freeze_unigrams()
+        self._init_arrays(CorpusCounts.from_dicts(model))
 
     def _init_header(self, tokenizer, config, model: NGramLanguageModel | None) -> None:
         """Configuration-derived constants shared by both constructors."""
@@ -73,53 +95,44 @@ class CompiledNGramModel:
         self.bos_id = vocabulary.bos_id
         self.eos_id = vocabulary.eos_id
 
-        self.packed = self.vocab_size ** max(self.order - 1, 1) < _MAX_PACKED_KEY
-        # per order k >= 1: sorted context keys, CSR row pointers, flat
-        # token/count arrays, per-context totals and row-relative search keys
-        self._keys: dict[int, np.ndarray] = {}
-        self._row_ptr: dict[int, np.ndarray] = {}
-        self._tokens: dict[int, np.ndarray] = {}
+    def _init_arrays(self, counts: "CorpusCounts") -> None:
+        if counts.order != self.order or counts.vocab_size != self.vocab_size:
+            raise ValueError("count arrays do not match the model configuration")
+        # per order k >= 1: sorted context keys and their rows, CSR row
+        # pointers, flat token/count arrays, per-context totals and
+        # row-relative search keys
+        self._keys = counts.keys
+        self._key_rows = counts.key_rows
+        self._row_ptr = counts.row_ptr
+        self._tokens = counts.tokens
         self._counts: dict[int, np.ndarray] = {}
         self._totals: dict[int, np.ndarray] = {}
         self._entry_keys: dict[int, np.ndarray] = {}
-        self._powers: dict[int, np.ndarray] = {}
-        self._tuple_index: dict[int, dict] = {}
+        for k in range(1, self.order):
+            row_ptr = counts.row_ptr[k]
+            self._counts[k] = counts.counts[k].astype(np.float64)
+            self._totals[k] = counts.totals[k].astype(np.float64)
+            row_of_entry = np.repeat(np.arange(row_ptr.size - 1, dtype=np.int64),
+                                     np.diff(row_ptr))
+            # (row, token) pairs as a single sorted key: rows ascend and
+            # tokens ascend within a row, so the concatenation is sorted
+            self._entry_keys[k] = row_of_entry * self.vocab_size + counts.tokens[k]
+        self._tokens0 = counts.tokens0
+        self._counts0 = counts.counts0.astype(np.float64)
+        self._total0 = float(counts.total0)
+        self._finalize_unigrams()
 
     @classmethod
     def from_counts(cls, counts: "CorpusCounts", tokenizer, config,
                     model: NGramLanguageModel | None = None) -> "CompiledNGramModel":
         """Build the CSR view directly from array-accumulated counts.
 
-        ``counts`` is a :class:`repro.llm.training.CorpusCounts` — per order,
-        sorted packed context keys with CSR row pointers over sorted
-        ``(token, count)`` entries, exactly the layout ``_freeze_order``
-        produces from the dict tables (lexicographic context order equals
-        packed-key order; tokens ascend within a context).  This skips the
-        intermediate dict sort of the legacy path entirely.
+        ``counts`` is a :class:`repro.llm.training.CorpusCounts`, already in
+        this class's layout, so no dict table is ever walked.
         """
         self = cls.__new__(cls)
         self._init_header(tokenizer, config, model)
-        if counts.order != self.order or counts.vocab_size != self.vocab_size:
-            raise ValueError("count arrays do not match the model configuration")
-        if not self.packed:
-            raise ValueError("vocabulary too large for packed count arrays")
-        for k in range(1, self.order):
-            keys = counts.keys[k]
-            row_ptr = counts.row_ptr[k]
-            tokens = counts.tokens[k]
-            self._keys[k] = keys
-            self._row_ptr[k] = row_ptr
-            self._tokens[k] = tokens
-            self._counts[k] = counts.counts[k].astype(np.float64)
-            self._totals[k] = counts.totals[k].astype(np.float64)
-            row_of_entry = np.repeat(np.arange(keys.size, dtype=np.int64),
-                                     np.diff(row_ptr)) if keys.size else np.empty(0, np.int64)
-            self._entry_keys[k] = row_of_entry * self.vocab_size + tokens
-            self._powers[k] = (self.vocab_size ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        self._tokens0 = counts.tokens0
-        self._counts0 = counts.counts0.astype(np.float64)
-        self._total0 = float(counts.total0)
-        self._finalize_unigrams()
+        self._init_arrays(counts)
         return self
 
     def with_count_multiplier(self, multiplier: int) -> "CompiledNGramModel":
@@ -143,60 +156,6 @@ class CompiledNGramModel:
         view._finalize_unigrams()
         return view
 
-    # -- freezing ---------------------------------------------------------------------
-
-    def _freeze_order(self, k: int) -> None:
-        contexts = self.model._counts[k]
-        totals = self.model._context_totals[k]
-        items = sorted(contexts.items())  # lexicographic == packed-key order
-        n_contexts = len(items)
-        keys = np.empty(n_contexts, dtype=np.int64)
-        row_ptr = np.zeros(n_contexts + 1, dtype=np.int64)
-        token_chunks: list[np.ndarray] = []
-        count_chunks: list[np.ndarray] = []
-        context_totals = np.empty(n_contexts, dtype=np.float64)
-        tuple_index: dict = {}
-        for row, (context, counter) in enumerate(items):
-            if self.packed:
-                key = 0
-                for token in context:
-                    key = key * self.vocab_size + int(token)
-                keys[row] = key
-            tuple_index[context] = row
-            ordered = sorted(counter.items())
-            token_chunks.append(np.fromiter((t for t, _ in ordered), dtype=np.int64,
-                                            count=len(ordered)))
-            count_chunks.append(np.fromiter((c for _, c in ordered), dtype=np.float64,
-                                            count=len(ordered)))
-            row_ptr[row + 1] = row_ptr[row] + len(ordered)
-            context_totals[row] = float(totals.get(context, 0))
-        tokens = np.concatenate(token_chunks) if token_chunks else np.empty(0, np.int64)
-        counts = np.concatenate(count_chunks) if count_chunks else np.empty(0, np.float64)
-        row_of_entry = np.repeat(np.arange(n_contexts, dtype=np.int64),
-                                 np.diff(row_ptr)) if n_contexts else np.empty(0, np.int64)
-        self._keys[k] = keys
-        self._row_ptr[k] = row_ptr
-        self._tokens[k] = tokens
-        self._counts[k] = counts
-        self._totals[k] = context_totals
-        # (row, token) pairs as a single sorted key: rows ascend and tokens
-        # ascend within a row, so the concatenation is already sorted.
-        self._entry_keys[k] = row_of_entry * self.vocab_size + tokens
-        self._powers[k] = (self.vocab_size ** np.arange(k - 1, -1, -1)).astype(np.int64) \
-            if self.packed else np.empty(0, np.int64)
-        if not self.packed:
-            self._tuple_index[k] = tuple_index
-
-    def _freeze_unigrams(self) -> None:
-        counter = self.model._counts[0].get((), {})
-        ordered = sorted(counter.items())
-        self._tokens0 = np.fromiter((t for t, _ in ordered), dtype=np.int64,
-                                    count=len(ordered))
-        self._counts0 = np.fromiter((c for _, c in ordered), dtype=np.float64,
-                                    count=len(ordered))
-        self._total0 = float(self.model._context_totals[0].get((), 0))
-        self._finalize_unigrams()
-
     def _finalize_unigrams(self) -> None:
         """Smoothing constants + dense unigram rows from the unigram arrays."""
         weight = self.weights[self.order - 1]
@@ -216,25 +175,6 @@ class CompiledNGramModel:
 
     # -- lookups ----------------------------------------------------------------------
 
-    def _context_rows(self, k: int, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row index (and hit mask) of each length-*k* context in *contexts*."""
-        if self.packed:
-            queries = contexts @ self._powers[k]
-            table = self._keys[k]
-            if table.size == 0:
-                return np.zeros(len(queries), np.int64), np.zeros(len(queries), bool)
-            positions = np.searchsorted(table, queries)
-            clipped = np.minimum(positions, table.size - 1)
-            return clipped, table[clipped] == queries
-        index = self._tuple_index.get(k, {})
-        rows = np.empty(len(contexts), dtype=np.int64)
-        found = np.empty(len(contexts), dtype=bool)
-        for i, row_context in enumerate(contexts):
-            row = index.get(tuple(int(t) for t in row_context))
-            found[i] = row is not None
-            rows[i] = row if row is not None else 0
-        return rows, found
-
     def _layer_plan(self, contexts: np.ndarray, lengths: np.ndarray):
         """Shared rest accumulation + per-order lookup plan.
 
@@ -245,29 +185,28 @@ class CompiledNGramModel:
         """
         n_lanes = contexts.shape[0]
         width = contexts.shape[1]
+        top = min(self.order - 1, width, int(lengths.max(initial=0)))
+        walk = walk_suffixes(self._keys, contexts[:, width - top:], self.vocab_size)
         rest = np.zeros(n_lanes, dtype=np.float64)
-        all_lanes: np.ndarray | None = None
+        all_lanes = np.arange(n_lanes)
         plans = []
-        for k in range(self.order - 1, 0, -1):
+        for k in range(top, 0, -1):
+            positions, found = walk[k - 1]
             available = lengths >= k
-            if not available.any():
-                continue
             if available.all():
                 # common case once every lane has a full window: no subsetting
-                if all_lanes is None:
-                    all_lanes = np.arange(n_lanes)
                 lanes = all_lanes
-                window = contexts[:, width - k:]
             else:
                 lanes = np.flatnonzero(available)
-                window = contexts[lanes][:, width - k:]
-            rows, found = self._context_rows(k, window)
-            if self._totals[k].size:
+                positions, found = positions[lanes], found[lanes]
+            if self._keys[k].size:
+                rows = self._key_rows[k][positions]
                 totals = np.where(found, self._totals[k][rows], 0.0)
             else:
                 # no contexts of this order were ever observed (very short
                 # corpora, e.g. single-column tables): every lane misses
-                totals = np.zeros(len(rows), dtype=np.float64)
+                rows = positions
+                totals = np.zeros(len(lanes), dtype=np.float64)
             weight = self.weights[self.order - 1 - k]
             denom = totals + self.smoothing_mass
             positive = denom > 0

@@ -9,8 +9,7 @@ rejected lanes.
 
 The per-step mass matrices come from the model's compiled CSR backbone
 (:class:`~repro.llm.compiled.CompiledNGramModel`), fully vectorized across
-lanes.  Vocabularies too large to pack into int64 keys go through the
-compiled model's tuple-index path, so every trained model runs here.
+lanes, for every vocabulary size.
 
 :class:`ObjectBackbone` recomputes the same masses by walking the model's
 nested ``dict[context] -> Counter`` tables

@@ -6,16 +6,14 @@ count accumulation and a batch is a shard of the corpus; the loop exposes the
 same knobs plus a per-epoch held-out perplexity trace so experiments can show
 the model actually adapts to the encoded corpus.
 
-The loop runs on arrays: one batched corpus encode into a flat id array, one
-array-reduction count accumulation (:mod:`repro.llm.training`), analytic
-epoch scaling, and per-epoch validation scoring through the compiled CSR
-scorer.  When the vocabulary is too large for packed int64 n-gram keys
-(:func:`~repro.llm.training.accumulate_counts` returns ``None``), the loop
-falls back to the legacy object trainer: per-sentence tokenisation and
-token-by-token updates of the nested ``dict[context] -> Counter`` tables.
-Both trainers produce bit-identical counts, vocabulary ids and perplexity
-traces, so a given seed maps to one deterministic fine-tuning outcome;
-:attr:`FineTuneResult.engine` records which one ran.
+The loop runs on arrays for every vocabulary: one batched corpus encode
+into a flat id array, one array-reduction count accumulation
+(:mod:`repro.llm.training`), analytic epoch scaling, and per-epoch
+validation scoring through the compiled CSR scorer.  The legacy object
+trainer (per-sentence tokenisation and token-by-token updates of the
+nested ``dict[context] -> Counter`` tables) survives only as the oracle in
+``benchmarks.perf.oracle``; both produce bit-identical counts, vocabulary
+ids and perplexity traces.
 """
 
 from __future__ import annotations
@@ -58,15 +56,15 @@ class FineTuneConfig:
 class FineTuneResult:
     """Outcome of a fine-tuning run.
 
-    ``engine`` is ``"compiled"`` for the array trainer and ``"object"`` when
-    the vocabulary forced the dict-path fallback.
+    ``engine`` names the trainer that ran: always ``"compiled"`` here (the
+    object-trainer oracle reports ``"object"``).
     """
 
     model: NGramLanguageModel
     perplexity_trace: list[float]
     train_size: int
     validation_size: int
-    engine: str = "object"
+    engine: str = "compiled"
 
 
 class FineTuner:
@@ -77,67 +75,16 @@ class FineTuner:
         self.config = config or FineTuneConfig()
 
     def fine_tune(self, corpus: Sequence[str]) -> FineTuneResult:
-        """Train a fresh model on *corpus* and return it with its perplexity trace."""
-        corpus = list(corpus)
-        if not corpus:
-            raise ValueError("cannot fine-tune on an empty corpus")
+        """Train a fresh model on *corpus* and return it with its perplexity trace.
 
-        rng = random.Random(self.config.seed)
-        order = list(range(len(corpus)))
-        if self.config.shuffle:
-            rng.shuffle(order)
-        shuffled = [corpus[i] for i in order]
-
-        n_validation = int(len(shuffled) * self.config.validation_fraction)
-        validation = shuffled[:n_validation]
-        training = shuffled[n_validation:] or shuffled
-
-        result = self._fine_tune_compiled(shuffled, training, validation)
-        if result is not None:
-            return result
-        # vocabulary too large for packed int64 keys: run the dict path (the
-        # vocabulary fitted above is reused — fit() is idempotent)
-        return self._fine_tune_object(shuffled, training, validation)
-
-    # -- object fallback: the legacy dict path ------------------------------------------
-
-    def _fine_tune_object(self, shuffled: list[str], training: list[str],
-                          validation: list[str]) -> FineTuneResult:
-        # make sure every token (including validation-only ones) is in the vocabulary
-        self.tokenizer.fit(shuffled)
-        model = NGramLanguageModel(self.tokenizer, self.config.model)
-
-        batch_size = max(1, len(training) // self.config.batches)
-        perplexity_trace: list[float] = []
-        for _ in range(self.config.epochs):
-            for start in range(0, len(training), batch_size):
-                model.fit(training[start:start + batch_size], epochs=1)
-            if validation:
-                perplexity_trace.append(model.perplexity(validation))
-        if not perplexity_trace:
-            perplexity_trace.append(model.perplexity(training))
-        return FineTuneResult(
-            model=model,
-            perplexity_trace=perplexity_trace,
-            train_size=len(training),
-            validation_size=len(validation),
-            engine="object",
-        )
-
-    # -- compiled trainer: the array path ------------------------------------------------
-
-    def _fine_tune_compiled(self, shuffled: list[str], training: list[str],
-                            validation: list[str]) -> FineTuneResult | None:
-        """One encode, one count reduction, analytic epoch scaling.
-
-        An epoch of the batched loop is exactly one pass over the training
-        corpus (the batch shards partition it), so the counts after epoch
-        ``e`` are ``e`` times the single-pass counts — no re-looping.  The
+        One encode, one count reduction, analytic epoch scaling.  An epoch
+        of the batched loop is exactly one pass over the training corpus
+        (the batch shards partition it), so the counts after epoch ``e``
+        are ``e`` times the single-pass counts — no re-looping.  The
         per-epoch validation perplexities are computed by the compiled CSR
-        scorer on count views scaled to each epoch.  Returns ``None`` when
-        the vocabulary cannot be packed (caller falls back to the object
-        trainer).
+        scorer on count views scaled to each epoch.
         """
+        shuffled, training, validation = self._split(corpus)
         config = self.config
         encoded = self.tokenizer.fit_encode_corpus(shuffled)
         n_validation = len(validation)
@@ -147,8 +94,6 @@ class FineTuner:
             training_encoded = encoded.slice(n_validation, encoded.n_sentences)
         counts = accumulate_counts(training_encoded, config.model.order,
                                    len(self.tokenizer.vocabulary))
-        if counts is None:
-            return None
 
         perplexity_trace: list[float] = []
         if validation:
@@ -174,5 +119,18 @@ class FineTuner:
             perplexity_trace=perplexity_trace,
             train_size=len(training),
             validation_size=len(validation),
-            engine="compiled",
         )
+
+    def _split(self, corpus: Sequence[str]) -> tuple[list[str], list[str], list[str]]:
+        """``(shuffled, training, validation)`` sentences of *corpus*."""
+        corpus = list(corpus)
+        if not corpus:
+            raise ValueError("cannot fine-tune on an empty corpus")
+        order = list(range(len(corpus)))
+        if self.config.shuffle:
+            random.Random(self.config.seed).shuffle(order)
+        shuffled = [corpus[i] for i in order]
+        n_validation = int(len(shuffled) * self.config.validation_fraction)
+        validation = shuffled[:n_validation]
+        training = shuffled[n_validation:] or shuffled
+        return shuffled, training, validation

@@ -4,25 +4,23 @@ The legacy training path walks every sentence token by token, incrementing
 nested ``dict[context] -> Counter`` tables — repeated for every epoch and
 permutation pass.  This module treats token statistics as an array problem:
 the corpus is one flat token-id array (:class:`~repro.llm.tokenizer
-.EncodedCorpus`), every order's n-gram occurrences are packed into int64
-keys with a handful of vectorized shifts, and the counts fall out of a
-single ``sort + np.unique(return_counts=True)`` reduction per order.  Epoch
-repetition scales the resulting integer counts analytically instead of
-re-looping the corpus.
+.EncodedCorpus`), every order's context occurrences get their suffix-rank
+keys (see :mod:`repro.llm.compiled`) from one ``np.unique`` per order, and
+the counts fall out of a second ``np.unique(return_counts=True)`` per
+order.  A key is bounded by (distinct contexts) * vocabulary size, so any
+vocabulary fits int64.  Epoch repetition scales the resulting integer
+counts analytically instead of re-looping the corpus.
 
-The reduction directly emits the sorted CSR layout
-:class:`~repro.llm.compiled.CompiledNGramModel` uses (packed context keys
-ascend, tokens ascend within a context), so the compiled sampling view is
-constructed from the arrays without ever materialising the dict tables.
+:class:`CorpusCounts` is the one count layout, shared by the compiled
+sampling view and the bundle: CSR rows over the contexts in lexicographic
+order, indexed by the sorted suffix-rank keys.  It is built by
+:func:`accumulate_counts`, by :meth:`CorpusCounts.from_tables` (bundle
+loads) and by :meth:`CorpusCounts.from_dicts` (models trained by the dict
+oracle), and unpacked back to token rows by :meth:`CorpusCounts.contexts`
+(bundle saves, dict materialisation).
 :class:`ArrayTrainedNGramModel` keeps the full
 :class:`~repro.llm.ngram_model.NGramLanguageModel` API: any legacy caller
 that reaches for the dict tables triggers a one-off, exact materialisation.
-
-:class:`~repro.llm.finetune.FineTuner` runs this path and falls back to the
-legacy object trainer only when the vocabulary is too large to pack
-(:func:`accumulate_counts` returns ``None``).  Both produce bit-identical
-counts, vocabulary ids and perplexity traces, hence identical synthetic
-tables for identical seeds.
 """
 
 from __future__ import annotations
@@ -32,26 +30,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.llm.compiled import CompiledNGramModel, ngrams_packable
+from repro.llm.compiled import CompiledNGramModel, walk_suffixes
 from repro.llm.ngram_model import ModelConfig, NGramLanguageModel
 from repro.llm.tokenizer import EncodedCorpus, WordTokenizer
 
+
+def _unpack(keys: np.ndarray, vocab_size: int, lower: np.ndarray) -> np.ndarray:
+    """Token rows of sorted suffix-rank *keys*, in key order.
+
+    *lower* holds the order below's token rows in its key order (one empty
+    row below order 1): a key's suffix is the row at ``key // vocab_size``.
+    """
+    rows = np.empty((keys.size, lower.shape[1] + 1), dtype=np.int64)
+    rows[:, 0] = keys % vocab_size
+    rows[:, 1:] = lower[keys // vocab_size]
+    return rows
+
+
+_NO_CONTEXT = np.empty((1, 0), dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class CorpusCounts:
-    """Integer n-gram counts of one corpus pass, in sorted CSR layout.
+    """Integer n-gram counts of one corpus pass, in CSR layout.
 
-    Per context length ``k`` (``1 <= k < order``): ``keys[k]`` holds the
-    packed context keys in ascending order, ``row_ptr[k]`` the CSR row
-    pointers, and ``tokens[k]``/``counts[k]`` the continuation token ids
-    (ascending within each context) with their occurrence counts;
-    ``totals[k]`` is the per-context total.  ``tokens0``/``counts0``/
-    ``total0`` cover the empty (unigram) context.  All counts are exact
-    integers so epoch repetition is a single scalar multiply.
+    Per context length ``k`` (``1 <= k < order``): ``row_ptr[k]`` holds the
+    CSR row pointers over the contexts in lexicographic order, and
+    ``tokens[k]``/``counts[k]`` the continuation token ids (ascending
+    within each context) with their occurrence counts; ``totals[k]`` is the
+    per-context total.  ``keys[k]`` holds the contexts' suffix-rank keys in
+    ascending order and ``key_rows[k]`` the CSR row of each.
+    ``tokens0``/``counts0``/``total0`` cover the empty (unigram) context.
+    All counts are exact integers so epoch repetition is a single scalar
+    multiply.
     """
 
     order: int
     vocab_size: int
     keys: dict
+    key_rows: dict
     row_ptr: dict
     tokens: dict
     counts: dict
@@ -68,6 +85,7 @@ class CorpusCounts:
             order=self.order,
             vocab_size=self.vocab_size,
             keys=self.keys,
+            key_rows=self.key_rows,
             row_ptr=self.row_ptr,
             tokens=self.tokens,
             counts={k: counts * multiplier for k, counts in self.counts.items()},
@@ -77,66 +95,123 @@ class CorpusCounts:
             total0=self.total0 * multiplier,
         )
 
+    def contexts(self) -> dict:
+        """Per order ``k``, the ``(n_contexts, k)`` token rows of the CSR rows."""
+        out = {}
+        lower = _NO_CONTEXT
+        for k in range(1, self.order):
+            lower = _unpack(self.keys[k], self.vocab_size, lower)
+            out[k] = np.empty_like(lower)
+            out[k][self.key_rows[k]] = lower
+        return out
+
+    @classmethod
+    def from_tables(cls, order: int, vocab_size: int, tables: dict,
+                    tokens0: np.ndarray, counts0: np.ndarray,
+                    total0: int) -> "CorpusCounts":
+        """Counts from per-order ``(contexts, row_ptr, tokens, counts,
+        totals)`` tables whose context rows ascend lexicographically.
+
+        The arrays are kept as given (a memory-mapped bundle stays mapped);
+        only the key index is built.  Raises :class:`ValueError` when an
+        order-``k`` context's suffix is not an order-``k - 1`` context, which
+        never happens for the counts of a corpus.
+        """
+        keys: dict = {}
+        key_rows: dict = {}
+        fields: dict = {"row_ptr": {}, "tokens": {}, "counts": {}, "totals": {}}
+        for k in range(1, order):
+            contexts, *arrays = tables[k]
+            for name, array in zip(fields, arrays):
+                fields[name][k] = array
+            suffix = np.zeros(contexts.shape[0], dtype=np.int64)
+            if k > 1:
+                suffix, found = walk_suffixes(keys, contexts[:, 1:], vocab_size)[-1]
+                if not found.all():
+                    raise ValueError("an order-{} context has no suffix at order {}"
+                                     .format(k, k - 1))
+            ranked = suffix * vocab_size + contexts[:, 0]
+            key_rows[k] = np.argsort(ranked)  # keys are distinct
+            keys[k] = ranked[key_rows[k]]
+        return cls(order=order, vocab_size=vocab_size, keys=keys, key_rows=key_rows,
+                   **fields, tokens0=tokens0, counts0=counts0, total0=int(total0))
+
+    @classmethod
+    def from_dicts(cls, model: NGramLanguageModel) -> "CorpusCounts":
+        """Freeze the ``dict[context] -> Counter`` tables of a trained model."""
+        order = model.config.order
+        tables = {}
+        for k in range(1, order):
+            items = sorted(model._counts[k].items())
+            contexts = np.array([context for context, _ in items],
+                                dtype=np.int64).reshape(len(items), k)
+            entries = [sorted(counter.items()) for _, counter in items]
+            row_ptr = np.zeros(len(items) + 1, dtype=np.int64)
+            np.cumsum([len(row) for row in entries], out=row_ptr[1:], dtype=np.int64)
+            tokens = np.array([t for row in entries for t, _ in row], dtype=np.int64)
+            counts = np.array([c for row in entries for _, c in row], dtype=np.int64)
+            totals = np.array([model._context_totals[k].get(context, 0)
+                               for context, _ in items], dtype=np.int64)
+            tables[k] = (contexts, row_ptr, tokens, counts, totals)
+        unigrams = sorted(model._counts[0].get((), {}).items())
+        return cls.from_tables(
+            order, len(model.tokenizer.vocabulary), tables,
+            tokens0=np.array([t for t, _ in unigrams], dtype=np.int64),
+            counts0=np.array([c for _, c in unigrams], dtype=np.int64),
+            total0=model._context_totals[0].get((), 0))
+
 
 def accumulate_counts(encoded: EncodedCorpus, order: int,
-                      vocab_size: int) -> CorpusCounts | None:
+                      vocab_size: int) -> CorpusCounts:
     """One-pass n-gram count accumulation over an encoded corpus.
 
     Replicates ``NGramLanguageModel._update`` exactly: for every sentence,
     positions ``1 .. len - 1`` contribute a target, and a length-``k``
     context is counted only when it fits strictly after the leading
     ``<bos>`` (the legacy loop's ``position - k - 1 < 0`` break, which keeps
-    ``<bos>`` out of every counted context).  Contexts and targets are
-    packed together into one int64 key per occurrence and reduced with
-    ``np.unique``.  Returns ``None`` when the vocabulary is too large to
-    pack ``order`` tokens into an int64 (callers fall back to the dict
-    path — correctness over speed, as with the compiled sampler).
+    ``<bos>`` out of every counted context).  Per order, one ``np.unique``
+    keys each occurrence's context by its suffix's key position (the
+    previous order's, kept per occurrence) and its first token; a second
+    one reduces the (lexicographic row, target) pairs to CSR entries.
     """
-    if not ngrams_packable(vocab_size, order):
-        return None
     ids = np.asarray(encoded.ids, dtype=np.int64)
     offsets = np.asarray(encoded.offsets, dtype=np.int64)
-    n = ids.size
     starts = np.repeat(offsets[:-1], np.diff(offsets))
-    positions = np.arange(n, dtype=np.int64) - starts
+    positions = np.arange(ids.size, dtype=np.int64) - starts
 
-    keys: dict = {}
-    row_ptr: dict = {}
-    tokens: dict = {}
-    counts: dict = {}
-    totals: dict = {}
+    fields: dict = {name: {} for name in
+                    ("keys", "key_rows", "row_ptr", "tokens", "counts", "totals")}
+    targets = np.flatnonzero(positions >= 1)
+    suffix = np.zeros(targets.size, dtype=np.int64)  # the empty context's position
+    lower = _NO_CONTEXT
     for k in range(1, order):
         # occurrences: windows ids[g - k : g + 1] with the whole window past
         # the sentence's <bos>, i.e. target position >= k + 1
-        if n > k:
-            valid = positions[k:] >= k + 1
-            packed = ids[:n - k][valid]
-            for j in range(1, k + 1):
-                packed = packed * vocab_size + ids[j:n - k + j][valid]
-        else:
-            packed = np.empty(0, dtype=np.int64)
-        entry_keys, entry_counts = np.unique(packed, return_counts=True)
-        context_of_entry = entry_keys // vocab_size
-        context_keys, context_sizes = np.unique(context_of_entry, return_counts=True)
-        pointers = np.zeros(context_keys.size + 1, dtype=np.int64)
-        np.cumsum(context_sizes, out=pointers[1:])
-        keys[k] = context_keys
-        row_ptr[k] = pointers
-        tokens[k] = entry_keys % vocab_size
-        counts[k] = entry_counts.astype(np.int64)
-        totals[k] = (np.add.reduceat(entry_counts, pointers[:-1]).astype(np.int64)
-                     if context_keys.size else np.empty(0, dtype=np.int64))
+        keep = positions[targets] >= k + 1
+        targets, suffix = targets[keep], suffix[keep]
+        keys, suffix = np.unique(suffix * vocab_size + ids[targets - k],
+                                 return_inverse=True)
+        lower = _unpack(keys, vocab_size, lower)
+        key_rows = np.empty(keys.size, dtype=np.int64)
+        key_rows[np.lexsort(lower.T[::-1])] = np.arange(keys.size)
+        entries, entry_counts = np.unique(key_rows[suffix] * vocab_size + ids[targets],
+                                          return_counts=True)
+        pointers = np.zeros(keys.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(entries // vocab_size, minlength=keys.size),
+                  out=pointers[1:])
+        fields["keys"][k] = keys
+        fields["key_rows"][k] = key_rows
+        fields["row_ptr"][k] = pointers
+        fields["tokens"][k] = entries % vocab_size
+        fields["counts"][k] = entry_counts.astype(np.int64)
+        fields["totals"][k] = (np.add.reduceat(fields["counts"][k], pointers[:-1])
+                               if keys.size else np.empty(0, dtype=np.int64))
 
-    targets = ids[positions >= 1]
-    tokens0, counts0 = np.unique(targets, return_counts=True)
+    tokens0, counts0 = np.unique(ids[positions >= 1], return_counts=True)
     return CorpusCounts(
         order=order,
         vocab_size=vocab_size,
-        keys=keys,
-        row_ptr=row_ptr,
-        tokens=tokens,
-        counts=counts,
-        totals=totals,
+        **fields,
         tokens0=tokens0,
         counts0=counts0.astype(np.int64),
         total0=int(counts0.sum()),
@@ -178,24 +253,14 @@ class ArrayTrainedNGramModel(NGramLanguageModel):
 
     def _materialize_dicts(self) -> None:
         counts = self._array_counts
-        vocab_size = counts.vocab_size
+        contexts = counts.contexts()
         for k in range(1, self.config.order):
-            keys = counts.keys[k]
-            if not keys.size:
-                continue
-            pointers = counts.row_ptr[k]
+            pointers = counts.row_ptr[k].tolist()
             token_lists = counts.tokens[k].tolist()
             count_lists = counts.counts[k].tolist()
             total_list = counts.totals[k].tolist()
-            digits = np.empty((keys.size, k), dtype=np.int64)
-            remainder = keys.copy()
-            for j in range(k - 1, -1, -1):
-                digits[:, j] = remainder % vocab_size
-                remainder //= vocab_size
-            digit_rows = digits.tolist()
-            for row in range(keys.size):
-                context = tuple(digit_rows[row])
-                lo, hi = int(pointers[row]), int(pointers[row + 1])
+            for row, context in enumerate(map(tuple, contexts[k].tolist())):
+                lo, hi = pointers[row], pointers[row + 1]
                 self._counts[k][context] = Counter(
                     dict(zip(token_lists[lo:hi], count_lists[lo:hi])))
                 self._context_totals[k][context] = total_list[row]

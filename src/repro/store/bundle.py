@@ -22,11 +22,14 @@ Serializers exist for every fitted object in the synthesis path:
   the original flat reference and the fit-time diagnostics);
 * :func:`load_bundle` — kind-dispatched loading.
 
-The model counts are stored as *unpacked* integer n-gram tables (one
-``(n_contexts, k)`` context matrix per order plus CSR row pointers), the
-canonical sorted layout the compiled trainer and its object fallback
-already agree on — so a loaded model reproduces the in-process model bit
-for bit, regardless of which trainer produced it.
+The model counts are stored as integer n-gram tables in the
+:class:`~repro.llm.training.CorpusCounts` layout (one lexicographically
+sorted ``(n_contexts, k)`` context matrix per order plus CSR row pointers),
+written from :meth:`~repro.llm.training.CorpusCounts.contexts` and read back
+through :meth:`~repro.llm.training.CorpusCounts.from_tables` — so a loaded
+model reproduces the in-process model bit for bit, whichever trainer
+produced it, and a memory-mapped load maps the count arrays straight from
+the file.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from repro import faults
 from repro.enhancement.enhancer import DataSemanticEnhancer, EnhancerConfig
 from repro.enhancement.mapping import MappingSystem
 from repro.great.synthesizer import GReaTConfig, GReaTSynthesizer
-from repro.llm.compiled import ngrams_packable
 from repro.llm.finetune import FineTuneConfig
 from repro.llm.ngram_model import ModelConfig, NGramLanguageModel
 from repro.llm.sampler import SamplerConfig
@@ -481,72 +483,52 @@ def _read_tokenizer(reader: BundleReader, prefix: str, lowercase: bool) -> WordT
     return WordTokenizer(lowercase=lowercase, vocabulary=vocabulary)
 
 
-def _unpack_context_keys(keys: np.ndarray, k: int, vocab_size: int) -> np.ndarray:
-    digits = np.empty((keys.size, k), dtype=np.int64)
-    remainder = keys.copy()
-    for j in range(k - 1, -1, -1):
-        digits[:, j] = remainder % vocab_size
-        remainder //= vocab_size
-    return digits
-
-
 def _add_model(writer: BundleWriter, prefix: str, model: NGramLanguageModel) -> None:
     """Persist a trained model as unpacked integer n-gram count tables."""
     if not model.is_trained:
         raise StoreError("can only persist a trained model")
     config = model.config
-    order = config.order
-    vocab_size = len(model.tokenizer.vocabulary)
+    counts = getattr(model, "_array_counts", None) or CorpusCounts.from_dicts(model)
     arrays: dict[str, np.ndarray] = {}
-    counts = getattr(model, "_array_counts", None)
-    if counts is not None:
-        for k in range(1, order):
-            arrays["k{}_ctx".format(k)] = _unpack_context_keys(counts.keys[k], k, vocab_size)
-            arrays["k{}_row_ptr".format(k)] = counts.row_ptr[k]
-            arrays["k{}_tokens".format(k)] = counts.tokens[k]
-            arrays["k{}_counts".format(k)] = counts.counts[k]
-            arrays["k{}_totals".format(k)] = counts.totals[k]
-        arrays["k0_tokens"] = counts.tokens0
-        arrays["k0_counts"] = counts.counts0
-        total0 = int(counts.total0)
-    else:
-        model._ensure_dict_tables()
-        for k in range(1, order):
-            items = sorted(model._counts[k].items())  # lexicographic == packed order
-            contexts = np.asarray([context for context, _ in items],
-                                  dtype=np.int64).reshape(len(items), k)
-            row_ptr = np.zeros(len(items) + 1, dtype=np.int64)
-            token_chunks: list[np.ndarray] = []
-            count_chunks: list[np.ndarray] = []
-            totals = np.empty(len(items), dtype=np.int64)
-            for row, (context, counter) in enumerate(items):
-                ordered = sorted(counter.items())
-                token_chunks.append(np.fromiter((t for t, _ in ordered), dtype=np.int64,
-                                                count=len(ordered)))
-                count_chunks.append(np.fromiter((c for _, c in ordered), dtype=np.int64,
-                                                count=len(ordered)))
-                row_ptr[row + 1] = row_ptr[row] + len(ordered)
-                totals[row] = int(model._context_totals[k].get(context, 0))
-            arrays["k{}_ctx".format(k)] = contexts
-            arrays["k{}_row_ptr".format(k)] = row_ptr
-            arrays["k{}_tokens".format(k)] = (np.concatenate(token_chunks)
-                                              if token_chunks else np.empty(0, np.int64))
-            arrays["k{}_counts".format(k)] = (np.concatenate(count_chunks)
-                                              if count_chunks else np.empty(0, np.int64))
-            arrays["k{}_totals".format(k)] = totals
-        ordered = sorted(model._counts[0].get((), {}).items())
-        arrays["k0_tokens"] = np.fromiter((t for t, _ in ordered), dtype=np.int64,
-                                          count=len(ordered))
-        arrays["k0_counts"] = np.fromiter((c for _, c in ordered), dtype=np.int64,
-                                          count=len(ordered))
-        total0 = int(model._context_totals[0].get((), 0))
+    for k, contexts in counts.contexts().items():
+        arrays["k{}_ctx".format(k)] = contexts
+        arrays["k{}_row_ptr".format(k)] = counts.row_ptr[k]
+        arrays["k{}_tokens".format(k)] = counts.tokens[k]
+        arrays["k{}_counts".format(k)] = counts.counts[k]
+        arrays["k{}_totals".format(k)] = counts.totals[k]
+    arrays["k0_tokens"] = counts.tokens0
+    arrays["k0_counts"] = counts.counts0
     writer.add_json(prefix + "model", {
         "config": asdict(config),
-        "vocab_size": vocab_size,
+        "vocab_size": len(model.tokenizer.vocabulary),
         "trained_sentences": model.trained_sentences,
-        "total0": total0,
+        "total0": int(counts.total0),
     })
     writer.add_arrays(prefix + "model_arrays", arrays)
+
+
+def _check_table(k: int, vocab_size: int, contexts, row_ptr, tokens, counts,
+                 totals) -> None:
+    """Refuse an order-*k* count table that cannot index the model's rows."""
+    problems = []
+    n = contexts.shape[0]
+    if contexts.size and (contexts.min() < 0 or contexts.max() >= vocab_size):
+        problems.append("context token ids outside [0, {})".format(vocab_size))
+    if n > 1:
+        steps = contexts[1:] - contexts[:-1]
+        differs = steps != 0
+        first = differs.argmax(axis=1)
+        if not (differs.any(axis=1) & (steps[np.arange(n - 1), first] > 0)).all():
+            problems.append("context rows not strictly ascending")
+    if (row_ptr.size != n + 1 or row_ptr[0] != 0 or row_ptr[-1] != tokens.size
+            or (np.diff(row_ptr) < 0).any()):
+        problems.append("bad row pointers")
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
+        problems.append("token ids outside [0, {})".format(vocab_size))
+    if counts.size != tokens.size or totals.size != n:
+        problems.append("count arrays do not match the table size")
+    if problems:
+        raise StoreError("model arrays, order {}: {}".format(k, "; ".join(problems)))
 
 
 def _read_model(reader: BundleReader, prefix: str,
@@ -561,53 +543,26 @@ def _read_model(reader: BundleReader, prefix: str,
             )
         )
     arrays = reader.arrays(prefix + "model_arrays")
-    order = config.order
-    if ngrams_packable(vocab_size, order):
-        keys: dict = {}
-        row_ptr: dict = {}
-        tokens: dict = {}
-        counts: dict = {}
-        totals: dict = {}
-        for k in range(1, order):
-            contexts = arrays["k{}_ctx".format(k)].reshape(-1, k)
-            packed = np.zeros(contexts.shape[0], dtype=np.int64)
-            for j in range(k):
-                packed = packed * vocab_size + contexts[:, j]
-            keys[k] = packed
-            row_ptr[k] = arrays["k{}_row_ptr".format(k)]
-            tokens[k] = arrays["k{}_tokens".format(k)]
-            counts[k] = arrays["k{}_counts".format(k)]
-            totals[k] = arrays["k{}_totals".format(k)]
-        corpus_counts = CorpusCounts(
-            order=order, vocab_size=vocab_size, keys=keys, row_ptr=row_ptr,
-            tokens=tokens, counts=counts, totals=totals,
-            tokens0=arrays["k0_tokens"], counts0=arrays["k0_counts"],
-            total0=header["total0"],
-        )
-        return ArrayTrainedNGramModel(tokenizer, config, corpus_counts,
-                                      trained_sentences=header["trained_sentences"])
-    # vocabulary too large for packed int64 keys: rebuild the dict tables
-    from collections import Counter
-
-    model = NGramLanguageModel(tokenizer, config)
-    for k in range(1, order):
-        contexts = arrays["k{}_ctx".format(k)].reshape(-1, k).tolist()
-        row_ptr = arrays["k{}_row_ptr".format(k)].tolist()
-        token_list = arrays["k{}_tokens".format(k)].tolist()
-        count_list = arrays["k{}_counts".format(k)].tolist()
-        total_list = arrays["k{}_totals".format(k)].tolist()
-        for row, context in enumerate(contexts):
-            lo, hi = row_ptr[row], row_ptr[row + 1]
-            key = tuple(context)
-            model._counts[k][key] = Counter(dict(zip(token_list[lo:hi], count_list[lo:hi])))
-            model._context_totals[k][key] = total_list[row]
-    tokens0 = arrays["k0_tokens"].tolist()
-    counts0 = arrays["k0_counts"].tolist()
-    if tokens0:
-        model._counts[0][()] = Counter(dict(zip(tokens0, counts0)))
-        model._context_totals[0][()] = int(header["total0"])
-    model._trained_sentences = header["trained_sentences"]
-    return model
+    tables = {}
+    for k in range(1, config.order):
+        contexts = arrays["k{}_ctx".format(k)]
+        if contexts.size % k:
+            raise StoreError("model arrays, order {}: context matrix of size {}"
+                             .format(k, contexts.size))
+        tables[k] = (contexts.reshape(-1, k),) + tuple(
+            arrays["k{}_{}".format(k, name)] for name in ("row_ptr", "tokens", "counts", "totals"))
+        _check_table(k, vocab_size, *tables[k])
+    tokens0, counts0 = arrays["k0_tokens"], arrays["k0_counts"]
+    if counts0.size != tokens0.size or (
+            tokens0.size and (tokens0.min() < 0 or tokens0.max() >= vocab_size)):
+        raise StoreError("model arrays, order 0: bad unigram table")
+    try:
+        counts = CorpusCounts.from_tables(config.order, vocab_size, tables, tokens0=tokens0,
+                                          counts0=counts0, total0=header["total0"])
+    except ValueError as exc:
+        raise StoreError("model arrays: {}".format(exc)) from exc
+    return ArrayTrainedNGramModel(tokenizer, config, counts,
+                                  trained_sentences=header["trained_sentences"])
 
 
 # ---------------------------------------------------------------------------

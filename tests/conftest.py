@@ -1,10 +1,7 @@
 """Shared fixtures for the test suite."""
 
-from contextlib import contextmanager
-
 import pytest
 
-import repro.llm.compiled
 from repro.datasets.digix import DigixConfig, generate_digix_like
 from repro.datasets.toy import fig2_single_table, fig4_child_tables, fig11_membership_and_visits
 from repro.frame.table import Table
@@ -37,27 +34,6 @@ def small_table():
         "score": [0.5, 0.75, 0.5, 1.25],
         "city": ["Austin", "Boston", "Austin", "Denver"],
     })
-
-
-@pytest.fixture(scope="session")
-def unpackable_vocabulary():
-    """Context-manager factory: inside ``unpackable_vocabulary(engine)`` with
-    ``engine="object"`` (the default) no vocabulary packs into int64 keys;
-    with ``"compiled"`` nothing changes.
-
-    An unpackable vocabulary is the input class that needs the fallbacks:
-    fine-tuning runs the object trainer (``FineTuneResult.engine ==
-    "object"``), bundles load through the dict-table rebuild, and the
-    compiled backbone looks contexts up through its tuple index.
-    Session-scoped so module fixtures and hypothesis tests can use it too.
-    """
-    @contextmanager
-    def unpackable(engine="object"):
-        with pytest.MonkeyPatch.context() as patch:
-            if engine == "object":
-                patch.setattr(repro.llm.compiled, "_MAX_PACKED_KEY", 2)
-            yield
-    return unpackable
 
 
 @pytest.fixture(scope="session")

@@ -17,8 +17,8 @@ The properties under test mirror the failure model (see the README's
   in-flight requests finish, and SIGTERM drives that drain end to end;
 * an interrupted ``iter_sample_database`` spill resumed with ``resume=True``
   produces byte-identical part files to an uninterrupted spill, on both
-  trainers (``object``: an unpackable vocabulary forces the object-trainer
-  fallback), across one or two interruptions;
+  trainers (``object``: the object-trainer oracle), across one or two
+  interruptions;
 * a dropped stream surfaces as :class:`IncompleteStream`, malformed HTTP
   is answered 400 and counted, a truncated bundle read raises
   :class:`StoreError`, and a failing sink raises ``OSError`` mid-spill.
@@ -61,6 +61,8 @@ from repro.serving.server import IncompleteStream, request_json_stream
 from repro.store.bundle import BundleReader, StoreError, load_fitted_pipeline
 from repro.store.stream import CsvTableSink, PartTableSink, part_table_is_complete
 
+from benchmarks.perf.oracle import trainer
+
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -100,23 +102,12 @@ def database_tables():
 
 
 @pytest.fixture(scope="module", params=["object", "compiled"])
-def fitted_multitable(request, database_tables, unpackable_vocabulary):
-    """A fitted multitable pipeline per trainer: (engine, fitted).  ``object``
-    fits on an unpackable vocabulary, so the object-trainer fallback runs."""
-    with unpackable_vocabulary(request.param):
-        fitted = MultiTableSchemaPipeline(MultiTablePipelineConfig(seed=3)).fit(
+def multitable_fitted(request, database_tables):
+    """A fitted multitable pipeline per trainer; ``object`` fits through the
+    object-trainer oracle."""
+    with trainer(request.param):
+        return MultiTableSchemaPipeline(MultiTablePipelineConfig(seed=3)).fit(
             database_tables)
-    return request.param, fitted
-
-
-@pytest.fixture
-def multitable_fitted(fitted_multitable, unpackable_vocabulary):
-    """:func:`fitted_multitable`'s pipeline, with an ``object`` fit's
-    vocabulary kept unpackable for the test (spills reload through the
-    dict tables and the tuple index)."""
-    engine, fitted = fitted_multitable
-    with unpackable_vocabulary(engine):
-        yield fitted
 
 
 @contextmanager

@@ -1,10 +1,10 @@
 """Tests for the compiled training engine (batch encode, array counts, scoring).
 
-The load-bearing property: the compiled trainer and the object trainer it
-falls back to on unpackable vocabularies must be *bit-identical* — same
+The load-bearing property: the compiled trainer and the object-trainer
+oracle (``benchmarks.perf.oracle``) must be *bit-identical* — same
 vocabulary ids, same integer count tables, same perplexity traces, and
-(through identical seeds) the same synthetic tables end to end.  The
-``unpackable_vocabulary`` fixture forces the fallback.
+(through identical seeds) the same synthetic tables end to end — at any
+vocabulary size.
 """
 
 import math
@@ -26,7 +26,10 @@ from repro.llm.ngram_model import (
 )
 from repro.llm.sampler import SamplerConfig
 from repro.llm.tokenizer import WordTokenizer
-from repro.llm.training import ArrayTrainedNGramModel, accumulate_counts
+from repro.llm.training import ArrayTrainedNGramModel, CorpusCounts, accumulate_counts
+from repro.store.bundle import BasePartReader, BundleWriter, _add_model, _read_model
+
+from benchmarks.perf.oracle import object_trainer
 
 WORDS = ["Name", ":", "Grace", "Yin", "Lunch", "Rice", "3", ",", "x", "20.5"]
 
@@ -37,6 +40,31 @@ def _random_corpus(seed: int, n_sentences: int = 60) -> list[str]:
         " ".join(rng.choice(WORDS) for _ in range(rng.randrange(2, 10)))
         for _ in range(n_sentences)
     ]
+
+
+def _wide_corpus(seed: int, n_sentences: int = 1300) -> list[str]:
+    """One distinct id word per sentence: a vocabulary above 1,290 tokens,
+    where order-6 n-grams no longer pack into one int64 key."""
+    rng = random.Random(seed)
+    return [
+        "u{} {}".format(i, " ".join(rng.choice(WORDS) for _ in range(rng.randrange(1, 5))))
+        for i in range(n_sentences)
+    ]
+
+
+class _PartsReader(BasePartReader):
+    def __init__(self, parts: dict):
+        self.manifest = {}
+        self._parts = parts
+
+    def _part(self, name: str) -> bytes:
+        return self._parts[name]
+
+
+def _model_parts(model) -> dict:
+    writer = BundleWriter("great_synthesizer")
+    _add_model(writer, "", model)
+    return writer.parts
 
 
 class TestEncodedCorpus:
@@ -105,8 +133,8 @@ class TestAccumulateCounts:
         direct = CompiledNGramModel.from_counts(counts, tokenizer,
                                                 ModelConfig(order=order))
         for k in range(1, order):
-            for name in ("_keys", "_row_ptr", "_tokens", "_counts", "_totals",
-                         "_entry_keys", "_powers"):
+            for name in ("_keys", "_key_rows", "_row_ptr", "_tokens", "_counts",
+                         "_totals", "_entry_keys"):
                 assert np.array_equal(getattr(frozen, name)[k],
                                       getattr(direct, name)[k]), (k, name)
         assert np.array_equal(frozen._tokens0, direct._tokens0)
@@ -114,12 +142,46 @@ class TestAccumulateCounts:
         assert frozen._total0 == direct._total0
         assert frozen._scale0 == direct._scale0 and frozen._base0 == direct._base0
 
-    def test_unpackable_vocabulary_returns_none(self):
-        corpus = ["a b c"]
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 16),
+           order=st.integers(min_value=2, max_value=6),
+           wide=st.booleans())
+    def test_matches_oracle_at_any_vocabulary(self, seed, order, wide):
+        """Property: the array counts equal the oracle's dict tables, below
+        and above the old int64 packing limit, and a bundle save -> load ->
+        save reproduces the model arrays byte for byte."""
+        corpus = _wide_corpus(seed) if wide else _random_corpus(seed)
         tokenizer = WordTokenizer().fit(corpus)
-        encoded = tokenizer.encode_corpus(corpus)
-        assert accumulate_counts(encoded, order=40,
-                                 vocab_size=len(tokenizer.vocabulary)) is None
+        vocab_size = len(tokenizer.vocabulary)
+        assert (vocab_size > 1290) == wide
+        config = ModelConfig(order=order)
+        oracle = NGramLanguageModel(tokenizer, config).fit(corpus)
+        counts = accumulate_counts(tokenizer.encode_corpus(corpus), order, vocab_size)
+        model = ArrayTrainedNGramModel(tokenizer, config, counts,
+                                       trained_sentences=len(corpus))
+        model._ensure_dict_tables()
+        for k in range(order):
+            assert dict(model._counts[k]) == dict(oracle._counts[k])
+            assert dict(model._context_totals[k]) == dict(oracle._context_totals[k])
+        frozen = CorpusCounts.from_dicts(oracle)
+        for name in ("keys", "key_rows", "row_ptr", "tokens", "counts", "totals"):
+            for k in range(1, order):
+                assert np.array_equal(getattr(frozen, name)[k], getattr(counts, name)[k])
+        parts = _model_parts(model)
+        assert _model_parts(oracle) == parts
+        assert _model_parts(_read_model(_PartsReader(parts), "", tokenizer)) == parts
+
+    def test_tables_need_every_suffix(self):
+        """A context whose suffix is no lower-order context cannot be keyed."""
+        empty = np.empty(0, dtype=np.int64)
+        tables = {
+            1: (np.array([[1], [2]]), np.array([0, 1, 2]), np.array([2, 1]),
+                np.array([1, 1]), np.array([1, 1])),
+            2: (np.array([[1, 3]]), np.array([0, 1]), np.array([2]),
+                np.array([1]), np.array([1])),
+        }
+        with pytest.raises(ValueError, match="suffix"):
+            CorpusCounts.from_tables(3, 5, tables, tokens0=empty, counts0=empty, total0=0)
 
     def test_scaled_counts_match_repeated_epochs(self):
         corpus = _random_corpus(4)
@@ -172,13 +234,12 @@ class TestTrainingEngineSwitch:
             FineTuneConfig(engine="object")
 
 
-def _fine_tune_pair(unpackable, corpus, order, epochs, batches, validation_fraction,
-                    seed):
-    """(object-fallback result, compiled result) of one fine-tuning config."""
+def _fine_tune_pair(corpus, order, epochs, batches, validation_fraction, seed):
+    """(object-oracle result, compiled result) of one fine-tuning config."""
     config = FineTuneConfig(epochs=epochs, batches=batches,
                             validation_fraction=validation_fraction,
                             seed=seed, model=ModelConfig(order=order))
-    with unpackable():
+    with object_trainer():
         object_result = FineTuner(WordTokenizer(), config).fine_tune(corpus)
     compiled_result = FineTuner(WordTokenizer(), config).fine_tune(corpus)
     assert object_result.engine == "object"
@@ -194,12 +255,12 @@ class TestEngineEquivalence:
         batches=st.integers(min_value=1, max_value=4),
         validation_fraction=st.sampled_from([0.0, 0.1, 0.3]),
     )
-    def test_bitwise_identical_training(self, unpackable_vocabulary, seed, order, epochs,
-                                        batches, validation_fraction):
+    def test_bitwise_identical_training(self, seed, order, epochs, batches,
+                                        validation_fraction):
         """Property: counts, vocabulary, and perplexity trace match exactly."""
         corpus = _random_corpus(seed, n_sentences=30)
         object_result, compiled_result = _fine_tune_pair(
-            unpackable_vocabulary, corpus, order, epochs, batches, validation_fraction, seed)
+            corpus, order, epochs, batches, validation_fraction, seed)
         assert (object_result.model.tokenizer.vocabulary.token_to_id
                 == compiled_result.model.tokenizer.vocabulary.token_to_id)
         assert object_result.perplexity_trace == compiled_result.perplexity_trace
@@ -217,18 +278,18 @@ class TestEngineEquivalence:
         assert (object_result.model.trained_sentences
                 == array_model.trained_sentences)
 
-    def test_validation_fraction_zero_edge(self, unpackable_vocabulary):
+    def test_validation_fraction_zero_edge(self):
         corpus = _random_corpus(11, n_sentences=12)
         object_result, compiled_result = _fine_tune_pair(
-            unpackable_vocabulary, corpus, order=3, epochs=2, batches=2, validation_fraction=0.0, seed=1)
+            corpus, order=3, epochs=2, batches=2, validation_fraction=0.0, seed=1)
         assert len(object_result.perplexity_trace) == 1
         assert object_result.perplexity_trace == compiled_result.perplexity_trace
         assert object_result.validation_size == compiled_result.validation_size == 0
 
-    def test_identical_synthetic_tables(self, unpackable_vocabulary):
-        """A synthesizer fitted through the object fallback samples the same
-        records as a compiled-trained one (the fallback model's generation
-        runs through the compiled backbone's tuple index)."""
+    def test_identical_synthetic_tables(self):
+        """A synthesizer fitted through the object-trainer oracle samples the
+        same records as a compiled-trained one (the oracle model's dict
+        tables are frozen into the same compiled backbone)."""
         rng = random.Random(9)
         table = Table({
             "city": [rng.choice(["austin", "boston", "denver"]) for _ in range(80)],
@@ -240,15 +301,13 @@ class TestEngineEquivalence:
             sampler=SamplerConfig(temperature=0.9, top_k=8, seed=4),
             seed=4,
         )
-        with unpackable_vocabulary():
-            fallback = GReaTSynthesizer(config).fit(table)
-            assert not isinstance(fallback.model, ArrayTrainedNGramModel)
-            assert not fallback.engine.backbone.packed
-            fallback_records = fallback.sample(120, seed=13).to_records()
+        with object_trainer():
+            oracle = GReaTSynthesizer(config).fit(table)
+        assert not isinstance(oracle.model, ArrayTrainedNGramModel)
         compiled = GReaTSynthesizer(config).fit(table)
         assert isinstance(compiled.model, ArrayTrainedNGramModel)
-        assert compiled.engine.backbone.packed
-        assert fallback_records == compiled.sample(120, seed=13).to_records()
+        assert (oracle.sample(120, seed=13).to_records()
+                == compiled.sample(120, seed=13).to_records())
 
     def test_direct_freeze_of_array_model_materialises_dicts(self):
         """CompiledNGramModel(model) on an array-trained model must freeze the

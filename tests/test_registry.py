@@ -37,6 +37,8 @@ from repro.store.bundle import (
     save_great_synthesizer,
 )
 
+from benchmarks.perf.oracle import trainer
+
 
 def _great_config(seed: int = 3) -> GReaTConfig:
     return GReaTConfig(
@@ -278,13 +280,12 @@ class TestMultitableDedup:
 
 class TestFitOrLoad:
     @pytest.mark.parametrize("engine", ["object", "compiled"])
-    def test_cache_hit_is_bit_identical(self, training_table, tmp_path, engine,
-                                        unpackable_vocabulary):
-        """``object``: an unpackable vocabulary, so the fit runs the object
-        trainer fallback and the hit loads through the dict-table rebuild."""
+    def test_cache_hit_is_bit_identical(self, training_table, tmp_path, engine):
+        """``object``: the fit runs the object-trainer oracle, and the hit
+        loads its counts through the one bundle format."""
         registry = Registry(tmp_path / "reg")
         pipeline = _GreatPipeline(_great_config())
-        with unpackable_vocabulary(engine):
+        with trainer(engine):
             miss = registry.fit_or_load(pipeline, training_table)
             assert not miss.cache_hit
             assert miss.report is not None and miss.report.parts_written > 0

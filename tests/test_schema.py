@@ -31,6 +31,8 @@ from repro.schema import (
 )
 from repro.serving import ServingConfig, ServingError, SynthesisService
 
+from benchmarks.perf.oracle import trainer
+
 
 def _fast_backbone(seed=0):
     return GReaTConfig(
@@ -368,11 +370,11 @@ class TestMultiTableSynthesizer:
 class TestPersistenceAcceptance:
     @pytest.mark.parametrize("engine", ["object", "compiled"])
     def test_fit_save_load_sample_byte_identical(self, retail, retail_graph,
-                                                 tmp_path, engine, unpackable_vocabulary):
-        """``object``: the fit runs the object-trainer fallback (unpackable
-        vocabulary), and the reloaded bundle still samples the same bytes."""
+                                                 tmp_path, engine):
+        """``object``: the fit runs the object-trainer oracle, and the
+        reloaded bundle still samples the same bytes."""
         pipeline = MultiTableSchemaPipeline(MultiTablePipelineConfig(seed=0))
-        with unpackable_vocabulary(engine):
+        with trainer(engine):
             fitted = pipeline.fit(retail, retail_graph)
         expected = fitted.sample_database(seed=11)
         digest = fitted.save(tmp_path / "bundle")

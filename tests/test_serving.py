@@ -25,6 +25,8 @@ from repro.serving.service import pack_result, packed_bytes, unpack_result
 from repro.store.tablefmt import encode_table
 from repro.store.bundle import load_fitted_pipeline
 
+from benchmarks.perf.oracle import trainer
+
 
 def _config(seed=0):
     return PipelineConfig(
@@ -78,13 +80,12 @@ class TestFitSampleSplit:
 
 class TestPersistenceDeterminism:
     @pytest.mark.parametrize("engine", ["object", "compiled"])
-    def test_fit_save_load_sample_bit_identical(self, trial, tmp_path, engine,
-                                                unpackable_vocabulary):
+    def test_fit_save_load_sample_bit_identical(self, trial, tmp_path, engine):
         """The acceptance property: fit -> save -> load -> sample equals
         fit -> sample for the same seed, whichever trainer ran (``object``:
-        an unpackable vocabulary forces the object-trainer fallback)."""
+        the object-trainer oracle)."""
         pipeline = GReaTERPipeline(_config())
-        with unpackable_vocabulary(engine):
+        with trainer(engine):
             fitted = pipeline.fit(trial.ads, trial.feeds)
         expected = fitted.sample(seed=5)
         fitted.save(tmp_path / "bundle")

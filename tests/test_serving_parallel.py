@@ -3,7 +3,7 @@
 The properties under test mirror the serving guarantees:
 
 * process-pool and inline execution are bit-identical, also for a bundle
-  fitted on an unpackable vocabulary (the per-block seeds make output
+  fitted by the object-trainer oracle (the per-block seeds make output
   independent of where it runs);
 * the inline executor runs one shard: more shards or ``serve --workers``
   need the process executor;
@@ -28,8 +28,11 @@ import pytest
 from repro.cli import main
 from repro.connecting.connector import ConnectorConfig
 from repro.enhancement.enhancer import EnhancerConfig
+from repro.frame.table import Table
+from repro.llm.finetune import FineTuner
 from repro.pipelines.config import PipelineConfig
 from repro.pipelines.greater import GReaTERPipeline
+from repro.pipelines.multitable import MultiTablePipelineConfig, MultiTableSchemaPipeline
 from repro.serving import (
     LatencyHistogram,
     MetricsRegistry,
@@ -43,6 +46,8 @@ from repro.serving import (
 from repro.serving.server import table_payload
 from repro.serving.workers import decode_table, encode_table
 from repro.store.bundle import load_fitted_pipeline
+
+from benchmarks.perf.oracle import trainer
 
 
 def _config(seed=0):
@@ -61,26 +66,16 @@ def trial(tiny_digix):
 
 
 @pytest.fixture(scope="module", params=["object", "compiled"])
-def fitted_bundle(request, trial, tmp_path_factory, bundle, unpackable_vocabulary):
+def fitted_bundle(request, trial, tmp_path_factory, bundle):
     """A fitted GReaTER bundle per trainer: (engine, path).  ``object`` fits
-    on an unpackable vocabulary, so the object-trainer fallback runs."""
+    through the object-trainer oracle."""
     if request.param == "compiled":
         return "compiled", bundle
-    with unpackable_vocabulary():
+    with trainer("object"):
         fitted = GReaTERPipeline(_config()).fit(trial.ads, trial.feeds)
     path = tmp_path_factory.mktemp("bundles") / "greater-object"
     fitted.save(path)
     return "object", path
-
-
-@pytest.fixture
-def engine_bundle(fitted_bundle, unpackable_vocabulary):
-    """:func:`fitted_bundle`, with an ``object`` bundle's vocabulary kept
-    unpackable for the test (dict-table loads, tuple-index lookups — forked
-    process workers inherit it)."""
-    engine, _ = fitted_bundle
-    with unpackable_vocabulary(engine):
-        yield fitted_bundle
 
 
 @pytest.fixture(scope="module")
@@ -127,15 +122,49 @@ def _running_server(service, max_queue=8):
 
 
 class TestProcessPoolIdentity:
-    def test_process_thread_serial_bit_identical(self, engine_bundle):
+    def test_process_thread_serial_bit_identical(self, fitted_bundle):
         """The identity guarantee on both trainers: a table sampled inline
         (the serial ``executor="thread"`` path) and one sampled on the
         process pool are the same table, bit for bit."""
-        _, path = engine_bundle
+        _, path = fitted_bundle
         with _service(path, block_size=4) as inline:
             reference = inline.sample_table(11, seed=9)
         with _service(path, shards=2, block_size=4, executor="process") as pooled:
             assert pooled.sample_table(11, seed=9) == reference
+
+    def test_wide_vocabulary_fits_compiled_and_serves_identically(self, tmp_path,
+                                                                  monkeypatch):
+        """A high-cardinality column takes the vocabulary past 1,290 tokens,
+        where order-6 n-grams no longer pack into one int64 key: the fit still
+        runs the compiled trainer, and the served database is the same inline
+        and on two process workers."""
+        results = []
+        fine_tune = FineTuner.fine_tune
+
+        def recording(tuner, corpus):
+            results.append(fine_tune(tuner, corpus))
+            return results[-1]
+
+        monkeypatch.setattr(FineTuner, "fine_tune", recording)
+        n_orders = 1400
+        tables = {
+            "users": Table({"user_id": ["u{}".format(i) for i in range(30)],
+                            "segment": ["s{}".format(i % 3) for i in range(30)]}),
+            "orders": Table({
+                "order_id": ["o{}".format(i) for i in range(n_orders)],
+                "user_id": ["u{}".format(i % 30) for i in range(n_orders)],
+                "sku": ["sku{}".format(i % (n_orders - 50)) for i in range(n_orders)],
+                "amount": [i % 7 for i in range(n_orders)],
+            }),
+        }
+        fitted = MultiTableSchemaPipeline(MultiTablePipelineConfig(seed=3)).fit(tables)
+        assert {result.engine for result in results} == {"compiled"}
+        assert max(len(result.model.tokenizer.vocabulary) for result in results) > 1290
+        fitted.save(tmp_path / "bundle")
+        with _service(tmp_path / "bundle") as inline:
+            reference = inline.sample_database(10, seed=5)
+        with _service(tmp_path / "bundle", shards=2, executor="process") as pooled:
+            assert pooled.sample_database(10, seed=5) == reference
 
     def test_inline_executor_rejects_shards(self):
         with pytest.raises(ValueError, match='executor="process"'):

@@ -36,6 +36,8 @@ from repro.store.bundle import (
 )
 from repro.store.codec import decode_value, dumps, encode_value, loads
 
+from benchmarks.perf.oracle import trainer
+
 
 # ---------------------------------------------------------------------------
 # CSV satellite fixes
@@ -296,11 +298,10 @@ def training_table():
 
 class TestGreatBundle:
     @pytest.mark.parametrize("engine", ["object", "compiled"])
-    def test_save_load_sample_bit_identical(self, engine, training_table, tmp_path,
-                                            unpackable_vocabulary):
-        """``object`` round-trips the unpackable-vocabulary path end to end:
-        object-trainer fit, dict-table bundle load, tuple-index sampling."""
-        with unpackable_vocabulary(engine):
+    def test_save_load_sample_bit_identical(self, engine, training_table, tmp_path):
+        """``object`` round-trips a fit by the object-trainer oracle: its dict
+        tables are frozen into the one count layout on save."""
+        with trainer(engine):
             synth = GReaTSynthesizer(_great_config()).fit(training_table)
             expected = synth.sample(12, seed=11)
             save_great_synthesizer(synth, tmp_path / "bundle")
@@ -308,14 +309,13 @@ class TestGreatBundle:
             assert loaded.sample(12, seed=11) == expected
             assert loaded.perplexity_trace == synth.perplexity_trace
 
-    def test_cross_engine_load_is_identical(self, training_table, tmp_path,
-                                            unpackable_vocabulary):
-        """A bundle fitted through the object-trainer fallback is byte-identical
+    def test_cross_engine_load_is_identical(self, training_table, tmp_path):
+        """A bundle fitted through the object-trainer oracle is byte-identical
         to the compiled-trained one — the persisted counts are trainer-neutral."""
         digests = {}
         sampled = {}
         for engine in ("object", "compiled"):
-            with unpackable_vocabulary(engine):
+            with trainer(engine):
                 synth = GReaTSynthesizer(_great_config()).fit(training_table)
             digests[engine] = save_great_synthesizer(synth, tmp_path / engine)
             sampled[engine] = load_great_synthesizer(tmp_path / engine).sample(10, seed=5)
@@ -323,14 +323,13 @@ class TestGreatBundle:
         assert sampled["object"] == sampled["compiled"]
 
     @pytest.mark.parametrize("engine", ["object", "compiled"])
-    def test_mmap_load_samples_byte_identical(self, engine, training_table, tmp_path,
-                                              unpackable_vocabulary):
+    def test_mmap_load_samples_byte_identical(self, engine, training_table, tmp_path):
         """mmap=True serves the count tables as read-only file mappings and
         the sampled output is byte-identical to the eager load — also for a
-        bundle whose fit ran the object-trainer fallback."""
+        bundle whose fit ran the object-trainer oracle."""
         import numpy as np
 
-        with unpackable_vocabulary(engine):
+        with trainer(engine):
             synth = GReaTSynthesizer(_great_config()).fit(training_table)
         save_great_synthesizer(synth, tmp_path / "bundle")
         eager = load_great_synthesizer(tmp_path / "bundle")
@@ -633,6 +632,35 @@ class TestBundleVerification:
             load_great_synthesizer(tmp_path / "lied")
         loaded = load_great_synthesizer(tmp_path / "lied", verify=False)
         assert loaded.sample(4, seed=1).num_rows == 4
+
+    @pytest.mark.parametrize("mutation", ["id_out_of_range", "rows_unsorted",
+                                          "bad_row_pointer"])
+    def test_malformed_model_arrays_rejected(self, saved, tmp_path, mutation):
+        """The loader indexes lower-order keys by the stored context ids, so
+        a bad count table is a typed error even when digests are skipped."""
+        import io
+
+        import numpy as np
+
+        from repro.store.bundle import npz_bytes
+
+        path, synth = saved
+        vocab_size = len(synth.model.tokenizer.vocabulary)
+
+        def corrupt(parts):
+            with np.load(io.BytesIO(parts["model_arrays.npz"])) as data:
+                arrays = {name: data[name].copy() for name in data.files}
+            if mutation == "id_out_of_range":
+                arrays["k2_ctx"][0, 0] = vocab_size
+            elif mutation == "rows_unsorted":
+                arrays["k2_ctx"][[0, 1]] = arrays["k2_ctx"][[1, 0]]
+            else:
+                arrays["k2_row_ptr"][-1] += 1
+            parts["model_arrays.npz"] = npz_bytes(arrays)
+
+        self._rewrite(path, tmp_path / mutation, corrupt)
+        with pytest.raises(StoreError, match="order 2"):
+            load_great_synthesizer(tmp_path / mutation, verify=False)
 
     def test_pristine_bundle_passes_verification(self, saved):
         path, synth = saved

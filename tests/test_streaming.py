@@ -56,6 +56,8 @@ from repro.store.stream import (
     read_part_table,
 )
 
+from benchmarks.perf.oracle import trainer
+
 #: {minimum, uneven remainder, exact multiple of 12, more than 12 rows}
 CHUNK_SIZES = (1, 7, 4, 30)
 
@@ -108,29 +110,16 @@ def great_synth(request):
 
 
 @pytest.fixture(scope="module", params=["object", "compiled"])
-def fitted_bundle(request, tiny_digix, tmp_path_factory, unpackable_vocabulary):
-    """A fitted GReaTER bundle per trainer: (engine, path).
-
-    ``object`` is the one object path a pipeline still reaches: a vocabulary
-    too large to pack, so the fit runs the object-trainer fallback.
-    """
+def fitted_bundle(request, tiny_digix, tmp_path_factory):
+    """A fitted GReaTER bundle per trainer: (engine, path); ``object`` fits
+    through the object-trainer oracle."""
     engine = request.param
     trial = tiny_digix.trials()[0]
-    with unpackable_vocabulary(engine):
+    with trainer(engine):
         fitted = GReaTERPipeline(_pipeline_config()).fit(trial.ads, trial.feeds)
     path = tmp_path_factory.mktemp("bundles") / "greater-{}".format(engine)
     fitted.save(path)
     return engine, path
-
-
-@pytest.fixture
-def engine_bundle(fitted_bundle, unpackable_vocabulary):
-    """:func:`fitted_bundle`, with an ``object`` bundle's vocabulary kept
-    unpackable for the test: loads rebuild the dict tables and the compiled
-    backbone looks contexts up through its tuple index."""
-    engine, _ = fitted_bundle
-    with unpackable_vocabulary(engine):
-        yield fitted_bundle
 
 
 @pytest.fixture(scope="module")
@@ -187,12 +176,12 @@ class TestSynthesizerChunkIdentity:
 
 class TestPipelineStreamIdentity:
     @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
-    def test_streamed_csv_matches_in_memory_bytes(self, engine_bundle, tmp_path,
+    def test_streamed_csv_matches_in_memory_bytes(self, fitted_bundle, tmp_path,
                                                   chunk_rows):
         """The tentpole identity: the CSV streamed chunk by
         chunk is byte-identical (sha256) to writing the concatenated blocks
         in one shot."""
-        _, path = engine_bundle
+        _, path = fitted_bundle
         fitted, _ = load_fitted_pipeline(path)
         streamed_path = tmp_path / "streamed.csv"
         with CsvTableSink(streamed_path) as sink:
@@ -202,10 +191,10 @@ class TestPipelineStreamIdentity:
         write_csv(whole, whole_path)
         assert _sha256(streamed_path) == _sha256(whole_path)
 
-    def test_stream_equals_serving_blocks(self, engine_bundle):
+    def test_stream_equals_serving_blocks(self, fitted_bundle):
         """The streamed blocks are the serving layer's sharding units: the
         concatenation equals ``sample_table`` at ``block_size == chunk_rows``."""
-        _, path = engine_bundle
+        _, path = fitted_bundle
         fitted, _ = load_fitted_pipeline(path)
         streamed = concat_rows(list(fitted.iter_sample_flat(seed=6, chunk_rows=4)))
         service = SynthesisService.from_bundle(
@@ -372,10 +361,10 @@ class TestDatabaseStreaming:
 class TestMemoryBounds:
     # the allocation pattern does not depend on which trainer fit the bundle
     @pytest.mark.parametrize("fitted_bundle", ["compiled"], indirect=True)
-    def test_streaming_peak_below_in_memory_peak(self, engine_bundle, tmp_path):
+    def test_streaming_peak_below_in_memory_peak(self, fitted_bundle, tmp_path):
         """Chunked streaming must not materialize the table: its traced
         allocation peak stays well under the in-memory path's peak."""
-        _, path = engine_bundle
+        _, path = fitted_bundle
         fitted, _ = load_fitted_pipeline(path)
         n, chunk_rows = 192, 4
 
@@ -478,9 +467,9 @@ class TestHttpStreaming:
 # ---------------------------------------------------------------------------
 
 class TestCliStreaming:
-    def test_sample_chunk_rows_streams_identical_csv(self, engine_bundle, tmp_path,
+    def test_sample_chunk_rows_streams_identical_csv(self, fitted_bundle, tmp_path,
                                                      capsys):
-        _, path = engine_bundle
+        _, path = fitted_bundle
         out = tmp_path / "streamed.csv"
         assert main(["sample", "--bundle", str(path), "--chunk-rows", "7",
                      "--out", str(out)]) == 0
@@ -491,7 +480,7 @@ class TestCliStreaming:
         write_csv(whole, reference)
         assert _sha256(out) == _sha256(reference)
 
-    def test_sample_chunk_rows_requires_out(self, engine_bundle):
-        _, path = engine_bundle
+    def test_sample_chunk_rows_requires_out(self, fitted_bundle):
+        _, path = fitted_bundle
         with pytest.raises(SystemExit):
             main(["sample", "--bundle", str(path), "--chunk-rows", "7"])

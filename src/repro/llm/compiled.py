@@ -79,11 +79,11 @@ class CompiledNGramModel:
         if not model.is_trained:
             raise ValueError("can only compile a trained model")
         model._ensure_dict_tables()  # array-trained models materialise lazily
-        self._init_header(model.tokenizer, model.config, model)
-        self._init_arrays(CorpusCounts.from_dicts(model))
+        self._init(CorpusCounts.from_dicts(model), model.tokenizer, model.config, model)
 
-    def _init_header(self, tokenizer, config, model: NGramLanguageModel | None) -> None:
-        """Configuration-derived constants shared by both constructors."""
+    def _init(self, counts: "CorpusCounts", tokenizer, config,
+              model: NGramLanguageModel | None) -> None:
+        """Configuration-derived constants plus the count arrays."""
         self.model = model
         vocabulary = tokenizer.vocabulary
         self.order = config.order
@@ -94,8 +94,6 @@ class CompiledNGramModel:
         self.pad_id = vocabulary.pad_id
         self.bos_id = vocabulary.bos_id
         self.eos_id = vocabulary.eos_id
-
-    def _init_arrays(self, counts: "CorpusCounts") -> None:
         if counts.order != self.order or counts.vocab_size != self.vocab_size:
             raise ValueError("count arrays do not match the model configuration")
         # per order k >= 1: sorted context keys and their rows, CSR row
@@ -131,8 +129,7 @@ class CompiledNGramModel:
         this class's layout, so no dict table is ever walked.
         """
         self = cls.__new__(cls)
-        self._init_header(tokenizer, config, model)
-        self._init_arrays(counts)
+        self._init(counts, tokenizer, config, model)
         return self
 
     def with_count_multiplier(self, multiplier: int) -> "CompiledNGramModel":
